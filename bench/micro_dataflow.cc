@@ -316,10 +316,7 @@ BENCHMARK(BM_CompiledRuleFire);
 // --- Semi-naive delta paths ---
 
 // One table-delta propagating through a compiled delta-insert chain:
-// replace a row of `a`, the rule joins `b` and upserts the head. Arg 0
-// runs the legacy planner, arg 1 the semi-naive one (the trigger predicate
-// is first in the body, so both modes fire and the numbers isolate the
-// planner's chain overhead rather than its coverage).
+// replace a row of `a`, the rule joins `b` and upserts the head.
 void BM_RuleFireDelta(benchmark::State& state) {
   SimEventLoop loop;
   SimNetwork net(&loop, Topology(TopologyConfig{}), 1);
@@ -328,7 +325,6 @@ void BM_RuleFireDelta(benchmark::State& state) {
   nc.executor = &loop;
   nc.transport = transport.get();
   nc.seed = 1;
-  nc.planner_mode = state.range(0) == 0 ? PlannerMode::kLegacy : PlannerMode::kSemiNaive;
   P2Node node(nc);
   std::string err;
   bool ok = node.Install(
@@ -349,12 +345,11 @@ void BM_RuleFireDelta(benchmark::State& state) {
     node.GetTable("a")->Insert(row);  // delta fires the chain synchronously
   }
 }
-BENCHMARK(BM_RuleFireDelta)->Arg(0)->Arg(1);
+BENCHMARK(BM_RuleFireDelta);
 
 // One aggregate update over a table of `rows` live rows: replace a row
-// with a fresh non-extremal value. The legacy watcher (arg1 = 0) rescans
-// the whole table per delta; the incremental watcher (arg1 = 1) updates a
-// per-group support multiset in O(log n).
+// with a fresh non-extremal value. The watcher updates a per-group
+// support multiset in O(log n) instead of rescanning the table.
 void BM_AggIncremental(benchmark::State& state) {
   SimEventLoop loop;
   SimNetwork net(&loop, Topology(TopologyConfig{}), 1);
@@ -363,7 +358,6 @@ void BM_AggIncremental(benchmark::State& state) {
   nc.executor = &loop;
   nc.transport = transport.get();
   nc.seed = 1;
-  nc.planner_mode = state.range(1) == 0 ? PlannerMode::kLegacy : PlannerMode::kSemiNaive;
   P2Node node(nc);
   std::string err;
   bool ok = node.Install(
@@ -389,16 +383,13 @@ void BM_AggIncremental(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_AggIncremental)->Args({64, 0})->Args({64, 1})->Args({1024, 0})->Args({1024, 1});
+BENCHMARK(BM_AggIncremental)->Arg(64)->Arg(1024);
 
 // One insert+delete round trip through a projected-support rule
 // (`h :- b` drops b's second key column, so the head row is not
-// reconstructible from the deletion — the shape PR6 could not retract).
-// Arg 0 runs with support counting off: the delete is a plain table
-// erase and the stale head row lingers until TTL. Arg 1 runs with
-// counting on: the delete flows through the delta-remove chain, the
-// support count drops to zero, and the head row is erased — the ns/op
-// delta is the full counted-retraction bill.
+// reconstructible from the deletion). The delete flows through the
+// delta-remove chain, the support count drops to zero, and the head row
+// is erased: the full counted-retraction bill per round trip.
 void BM_CountedRetraction(benchmark::State& state) {
   SimEventLoop loop;
   SimNetwork net(&loop, Topology(TopologyConfig{}), 1);
@@ -407,7 +398,6 @@ void BM_CountedRetraction(benchmark::State& state) {
   nc.executor = &loop;
   nc.transport = transport.get();
   nc.seed = 1;
-  nc.counting = state.range(0) != 0;
   P2Node node(nc);
   std::string err;
   bool ok = node.Install(
@@ -429,7 +419,7 @@ void BM_CountedRetraction(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_CountedRetraction)->Arg(0)->Arg(1);
+BENCHMARK(BM_CountedRetraction);
 
 // Event-probe cost on a skewed two-join rule, static order vs after an
 // adaptive swap. small's cap (16) gives it the lower static prior, so

@@ -34,9 +34,7 @@
 // pathvector cells run the post-convergence heal probe (kill the middle
 // node, virtual seconds until every live node has dropped its stale
 // routes and re-learned true distances) and report it as healing_s —
-// the soft-state repair latency counting is meant to shrink. --planner
-// and --counting select the planner flavor for every cell so the sweep
-// can diff legacy vs semi-naive vs counting on the same workload.
+// the soft-state repair latency counted retraction is meant to shrink.
 //
 // Every requested (overlay, nodes, mode, shards) cell must land in the
 // JSON: the sweep counts rows against the requested grid and fails
@@ -53,8 +51,8 @@
 //
 //   scale_sweep [--overlay chord,pathvector] [--nodes 64,256,1024]
 //               [--shards 1] [--loss 0.2] [--lookups 20] [--seed 1]
-//               [--mode both|reliable|plain] [--planner semi-naive|legacy]
-//               [--counting on|off] [--partition S:D:G] [--byzantine F]
+//               [--mode both|reliable|plain] [--partition S:D:G]
+//               [--byzantine F]
 //               [--json PATH]
 #include <cstdio>
 #include <cstdlib>
@@ -98,8 +96,6 @@ int main(int argc, char** argv) {
   uint64_t seed = 1;
   bool run_plain = true;
   bool run_reliable = true;
-  p2::PlannerMode planner = p2::PlannerMode::kSemiNaive;
-  bool counting = true;
   p2::FaultPlan faults;
   const char* json_path = nullptr;
 
@@ -131,26 +127,6 @@ int main(int argc, char** argv) {
           overlays.push_back(kind);
         }
         pos = comma + 1;
-      }
-    } else if (std::strcmp(arg, "--planner") == 0) {
-      const char* p = need("--planner");
-      if (std::strcmp(p, "legacy") == 0) {
-        planner = p2::PlannerMode::kLegacy;
-      } else if (std::strcmp(p, "semi-naive") == 0) {
-        planner = p2::PlannerMode::kSemiNaive;
-      } else {
-        std::fprintf(stderr, "--planner expects semi-naive|legacy\n");
-        return 2;
-      }
-    } else if (std::strcmp(arg, "--counting") == 0) {
-      const char* c = need("--counting");
-      if (std::strcmp(c, "on") == 0) {
-        counting = true;
-      } else if (std::strcmp(c, "off") == 0) {
-        counting = false;
-      } else {
-        std::fprintf(stderr, "--counting expects on|off\n");
-        return 2;
       }
     } else if (std::strcmp(arg, "--nodes") == 0) {
       node_counts = ParseSizeList(need("--nodes"), /*min_value=*/2);
@@ -199,10 +175,8 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::printf("# scale sweep: loss=%.2f lookups=%d seed=%llu planner=%s counting=%s\n",
-              loss, lookups, static_cast<unsigned long long>(seed),
-              planner == p2::PlannerMode::kLegacy ? "legacy" : "semi-naive",
-              counting ? "on" : "off");
+  std::printf("# scale sweep: loss=%.2f lookups=%d seed=%llu\n", loss, lookups,
+              static_cast<unsigned long long>(seed));
   if (faults.byzantine_fraction > 0 &&
       (overlays.size() != 1 || overlays[0] != p2::OverlayKind::kChord)) {
     std::fprintf(stderr, "--byzantine probes need --overlay chord\n");
@@ -240,8 +214,6 @@ int main(int argc, char** argv) {
           cfg.lookups = lookups;
           cfg.loss_rate = loss;
           cfg.reliable = reliable == 1;
-          cfg.planner = planner;
-          cfg.counting = counting;
           cfg.heal_probe = overlay == p2::OverlayKind::kPathVector;
           cfg.faults = faults;
           if (overlay != p2::OverlayKind::kChord) {
@@ -279,8 +251,7 @@ int main(int argc, char** argv) {
             std::snprintf(row, sizeof(row),
                           "  {\"overlay\": \"%s\", \"nodes\": %zu, \"shards\": %zu, "
                           "\"reliable\": %s, "
-                          "\"loss\": %.3f, \"seed\": %llu, \"planner\": \"%s\", "
-                          "\"counting\": %s, \"converged\": %s, "
+                          "\"loss\": %.3f, \"seed\": %llu, \"converged\": %s, "
                           "\"virtual_s\": %.1f, \"events\": %llu, \"wall_s\": %.2f, "
                           "\"events_per_sec\": %.0f, \"host_cores\": %u, "
                           "\"speedup_vs_1shard\": %.2f, \"healing_s\": %.2f, "
@@ -290,8 +261,6 @@ int main(int argc, char** argv) {
                           p2::OverlayKindName(overlay), n, report.shards,
                           reliable ? "true" : "false", loss,
                           static_cast<unsigned long long>(seed),
-                          planner == p2::PlannerMode::kLegacy ? "legacy" : "semi-naive",
-                          counting ? "true" : "false",
                           report.converged ? "true" : "false", report.ran_for_s,
                           static_cast<unsigned long long>(report.sim_events),
                           report.wall_s, evps, host_cores, speedup, report.healing_s,

@@ -48,11 +48,6 @@ void Usage(const char* argv0) {
       "                       results are bit-for-bit identical either way)\n"
       "  --port <base>        udp: first port to bind (default: kernel picks)\n"
       "  --seed <n>           RNG seed (default 1)\n"
-      "  --planner <mode>     seminaive (default) or legacy rule compilation\n"
-      "  --counting <on|off>  support-counted retractions (default on): every\n"
-      "                       pure-table rule gets a remove chain, derived rows\n"
-      "                       deleted when their last support retracts; off\n"
-      "                       reproduces the PR 6 single-derivation gating\n"
       "  --replan-interval <s>  adaptively re-cost multi-join rules against live\n"
       "                       table statistics at this period and swap to a\n"
       "                       cheaper pre-compiled join order (default 0 = off)\n"
@@ -80,7 +75,8 @@ void Usage(const char* argv0) {
       "                       lookup with itself as successor; the report's\n"
       "                       wrong-lookup rate is the detection metric\n"
       "  --explain            print the overlay's compiled rule plans (triggers,\n"
-      "                       join order, fanout estimates, indices) and exit\n"
+      "                       join order, fanout estimates, indices, counted\n"
+      "                       retraction chains) and exit\n"
       "  --watch <p1,p2,..>   tap the named predicates: log every tuple that\n"
       "                       reaches a rule head or arrives at a node, with\n"
       "                       virtual timestamp, node address and rule label\n"
@@ -202,32 +198,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       config.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(arg, "--planner") == 0) {
-      if (!NeedValue(argc, argv, i)) {
-        return 2;
-      }
-      const char* mode = argv[++i];
-      if (std::strcmp(mode, "seminaive") == 0 || std::strcmp(mode, "semi-naive") == 0) {
-        config.planner = p2::PlannerMode::kSemiNaive;
-      } else if (std::strcmp(mode, "legacy") == 0) {
-        config.planner = p2::PlannerMode::kLegacy;
-      } else {
-        std::fprintf(stderr, "unknown planner mode; expected seminaive|legacy\n");
-        return 2;
-      }
-    } else if (std::strcmp(arg, "--counting") == 0) {
-      if (!NeedValue(argc, argv, i)) {
-        return 2;
-      }
-      const char* v = argv[++i];
-      if (std::strcmp(v, "on") == 0) {
-        config.counting = true;
-      } else if (std::strcmp(v, "off") == 0) {
-        config.counting = false;
-      } else {
-        std::fprintf(stderr, "--counting expects on|off, got %s\n", v);
-        return 2;
-      }
     } else if (std::strcmp(arg, "--steal") == 0) {
       if (!NeedValue(argc, argv, i)) {
         return 2;
@@ -374,10 +344,7 @@ int main(int argc, char** argv) {
   }
 
   if (explain) {
-    std::fputs(p2::ExplainOverlayPlan(config.overlay, config.planner, config.counting,
-                                      config.replan_interval_s)
-                   .c_str(),
-               stdout);
+    std::fputs(p2::ExplainOverlayPlan(config.overlay, config.replan_interval_s).c_str(), stdout);
     return 0;
   }
 

@@ -27,7 +27,6 @@
 #include "src/net/stack/reliable_channel.h"
 #include "src/net/transport.h"
 #include "src/net/udp_loop.h"
-#include "src/overlog/planner.h"
 #include "src/runtime/executor.h"
 #include "src/sim/network.h"
 #include "src/sim/shard.h"
@@ -78,13 +77,6 @@ struct ScenarioConfig {
   // Udp backend only: first port to bind (node i gets base+i); 0 lets the
   // kernel pick free ports.
   uint16_t udp_base_port = 0;
-  // Rule compilation strategy for every node in the fleet; kLegacy runs
-  // the pre-semi-naive planner (single trigger per rule, source-order
-  // joins, full-scan aggregates) for differential comparison.
-  PlannerMode planner = PlannerMode::kSemiNaive;
-  // Support-counted retractions (semi-naive only); off reproduces the PR 6
-  // remove-chain gating exactly (p2run --counting off).
-  bool counting = true;
   // > 0 enables adaptive join re-planning at this virtual-time period on
   // every node (p2run --replan-interval).
   double replan_interval_s = 0;
@@ -173,10 +165,7 @@ ScenarioReport RunScenario(const ScenarioConfig& config);
 // replan_interval_s > 0). Deterministic for a given overlay and
 // configuration (`p2run --explain` and the golden-plan tests print
 // exactly this; tables are empty at plan time so live == static priors).
-std::string ExplainOverlayPlan(OverlayKind kind,
-                               PlannerMode mode = PlannerMode::kSemiNaive,
-                               bool counting = true,
-                               double replan_interval_s = 0);
+std::string ExplainOverlayPlan(OverlayKind kind, double replan_interval_s = 0);
 
 // ScenarioNet: the backend-owning node fabric that RunScenario and the
 // examples build fleets on. Owns the executors — a (possibly sharded)

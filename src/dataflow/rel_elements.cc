@@ -1,5 +1,6 @@
 #include "src/dataflow/rel_elements.h"
 
+#include <algorithm>
 #include <chrono>
 
 #include "src/obs/registry.h"
@@ -82,12 +83,13 @@ int ProjectElement::Push(int port, const TuplePtr& t, const Callback& cb) {
 // --- JoinElement ---
 
 JoinElement::JoinElement(std::string name, PelEnv env, Table* table, std::vector<JoinKey> keys,
-                         std::string out_name)
+                         std::string out_name, TriggerRow trigger)
     : Element(std::move(name)),
       vm_(env),
       table_(table),
       keys_(std::move(keys)),
-      out_schema_(InternSchema(out_name)) {
+      out_schema_(InternSchema(out_name)),
+      trigger_(trigger) {
   for (const JoinKey& k : keys_) {
     k.expr.Lower();
     key_cols_.push_back(k.table_col);
@@ -108,12 +110,33 @@ int JoinElement::Push(int port, const TuplePtr& t, const Callback& cb) {
                                       ? table_->Scan()
                                       : table_->LookupByCols(key_cols_, key_vals);
   int signal = 1;
-  for (const TuplePtr& row : matches) {
+  auto emit = [&](const std::vector<Value>& row) {
     std::vector<Value> fields;
-    fields.reserve(t->size() + row->size());
+    fields.reserve(t->size() + row.size());
     fields.insert(fields.end(), t->fields().begin(), t->fields().end());
-    fields.insert(fields.end(), row->fields().begin(), row->fields().end());
+    fields.insert(fields.end(), row.begin(), row.end());
     signal &= PushOut(0, Tuple::Make(out_schema_, std::move(fields)), cb);
+  };
+  if (trigger_ == TriggerRow::kNone) {
+    for (const TuplePtr& row : matches) {
+      emit(row->fields());
+    }
+    return signal;
+  }
+  size_t arity = std::min(t->size(), table_->spec().arity);
+  std::vector<Value> trigger(t->fields().begin(),
+                             t->fields().begin() + static_cast<std::ptrdiff_t>(arity));
+  for (const TuplePtr& row : matches) {
+    if (!(row->fields() == trigger)) {
+      emit(row->fields());
+    }
+  }
+  bool trigger_matches = trigger_ == TriggerRow::kInclude;
+  for (size_t i = 0; i < key_cols_.size() && trigger_matches; ++i) {
+    trigger_matches = key_cols_[i] < trigger.size() && trigger[key_cols_[i]] == key_vals[i];
+  }
+  if (trigger_matches) {
+    emit(trigger);
   }
   return signal;
 }
@@ -337,21 +360,15 @@ int RuleDriver::Push(int port, const TuplePtr& t, const Callback& cb) {
 // --- TableAggWatcher ---
 
 TableAggWatcher::TableAggWatcher(std::string name, Table* table, std::vector<size_t> group_cols,
-                                 AggKind kind, size_t agg_col, std::string out_name, Mode mode)
+                                 AggKind kind, size_t agg_col, std::string out_name)
     : Element(std::move(name)),
       table_(table),
       group_cols_(std::move(group_cols)),
       kind_(kind),
       agg_col_(agg_col),
-      out_schema_(InternSchema(out_name)),
-      mode_(mode) {}
+      out_schema_(InternSchema(out_name)) {}
 
 void TableAggWatcher::Attach() {
-  if (mode_ == Mode::kLegacyRecompute) {
-    table_->AddDeltaListener([this](const TuplePtr&) { Recompute(); });
-    table_->AddRemoveListener([this](const TuplePtr&) { Recompute(); });
-    return;
-  }
   // Seed running state from the live rows (Scan purges expired ones first),
   // then subscribe. In practice the planner attaches before any facts are
   // installed, so the table is empty here.
@@ -477,65 +494,6 @@ void TableAggWatcher::EmitGroup(const std::vector<Value>& key) {
   std::vector<Value> fields = key;
   fields.push_back(v);
   PushOut(0, Tuple::Make(out_schema_, std::move(fields)));
-}
-
-void TableAggWatcher::Recompute() {
-  if (recomputing_) {
-    // Scan() purges expired rows, whose removal listeners land back here;
-    // queue a re-run so the nested change is not lost.
-    recompute_queued_ = true;
-    return;
-  }
-  recomputing_ = true;
-  do {
-    recompute_queued_ = false;
-    struct WatchAcc {
-      Value value;
-      int64_t count = 0;
-    };
-    std::unordered_map<std::vector<Value>, WatchAcc, ValueVecHash, ValueVecEq> fresh;
-    for (const TuplePtr& row : table_->Scan()) {
-      std::vector<Value> key = row->KeyOf(group_cols_);
-      Value input = agg_col_ < row->size() ? row->field(agg_col_) : Value::Null();
-      auto it = fresh.find(key);
-      if (it == fresh.end()) {
-        WatchAcc a;
-        a.value = AggInit(kind_, input);
-        a.count = 1;
-        fresh.emplace(std::move(key), std::move(a));
-      } else {
-        it->second.value = AggStep(kind_, it->second.value, input, it->second.count);
-        it->second.count += 1;
-      }
-    }
-    // Groups that vanished entirely (all rows gone): for counts, report 0 so
-    // downstream thresholds reset; extremal aggregates have no meaningful
-    // "empty" output — just forget them so a future row re-emits.
-    for (auto it = last_.begin(); it != last_.end();) {
-      if (fresh.count(it->first) > 0) {
-        ++it;
-        continue;
-      }
-      if (kind_ == AggKind::kCount) {
-        std::vector<Value> fields = it->first;
-        fields.push_back(Value::Int(0));
-        PushOut(0, Tuple::Make(out_schema_, std::move(fields)));
-      }
-      it = last_.erase(it);
-    }
-    for (auto& [key, acc] : fresh) {
-      Value final_v = AggFinal(kind_, acc.value, acc.count);
-      auto prev = last_.find(key);
-      if (prev != last_.end() && prev->second == final_v) {
-        continue;
-      }
-      last_[key] = final_v;
-      std::vector<Value> fields = key;
-      fields.push_back(final_v);
-      PushOut(0, Tuple::Make(out_schema_, std::move(fields)));
-    }
-  } while (recompute_queued_);
-  recomputing_ = false;
 }
 
 }  // namespace p2

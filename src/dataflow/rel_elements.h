@@ -83,8 +83,18 @@ struct JoinKey {
 // fields) per match.
 class JoinElement : public Element {
  public:
+  // How a delta chain's self-join treats the table row that triggered the
+  // chain, which every tuple carries in its leading fields. The planner
+  // sets a mode only on joins against the trigger's own table, so that a
+  // derivation using the row at several body positions is counted once.
+  enum class TriggerRow {
+    kNone,
+    kExclude,  // skip it: an earlier occurrence, post-insert state
+    kInclude,  // also match it: a later occurrence, post-removal state
+  };
+
   JoinElement(std::string name, PelEnv env, Table* table, std::vector<JoinKey> keys,
-              std::string out_name);
+              std::string out_name, TriggerRow trigger = TriggerRow::kNone);
   int Push(int port, const TuplePtr& t, const Callback& cb) override;
 
  private:
@@ -93,6 +103,7 @@ class JoinElement : public Element {
   std::vector<JoinKey> keys_;
   std::vector<size_t> key_cols_;
   SchemaId out_schema_;
+  TriggerRow trigger_;
 };
 
 // Anti-join (OverLog "not"): passes the input through unchanged iff the
@@ -280,26 +291,20 @@ class RuleDriver : public Element {
 // (group fields..., aggregate) under `out_name` for groups whose aggregate
 // changed.
 //
-// The default mode is incremental over the table's typed delta stream:
+// The watcher is incremental over the table's typed delta stream:
 // count/sum/avg update in O(1) per delta; min/max keep a per-group ordered
 // support multiset so retracting the current extremum finds its successor
 // in O(log n) instead of rescanning the table. A key replacement carries
-// the displaced row in the delta, so its contribution is retracted exactly
-// — replacements never fire remove listeners, which is why the legacy
-// full-scan mode (kept for differential testing) had to rescan.
+// the displaced row in the delta, so its contribution is retracted exactly.
 class TableAggWatcher : public Element {
  public:
-  enum class Mode { kIncremental, kLegacyRecompute };
-
   TableAggWatcher(std::string name, Table* table, std::vector<size_t> group_cols,
-                  AggKind kind, size_t agg_col, std::string out_name,
-                  Mode mode = Mode::kIncremental);
+                  AggKind kind, size_t agg_col, std::string out_name);
 
   // Subscribes to the table (inserts AND removals — aggregates must shrink
   // when rows are deleted, evicted or expire). Call once after wiring.
-  // Incremental mode seeds its running state from the table's current rows
-  // without emitting; like the legacy watcher, the first report happens on
-  // the first post-attach delta.
+  // Seeds the running state from the table's current rows without
+  // emitting; the first report happens on the first post-attach delta.
   void Attach();
 
  private:
@@ -322,26 +327,20 @@ class TableAggWatcher : public Element {
   // returns the group key it touched.
   std::vector<Value> ApplyRow(const TuplePtr& row, int sign);
   // Emits the group's aggregate if it changed since last reported; emits
-  // (key..., 0) for a vanished count group, mirroring the legacy protocol.
+  // (key..., 0) for a vanished count group so downstream thresholds reset.
   void EmitGroup(const std::vector<Value>& key);
-  void Recompute();  // legacy full-scan mode
 
   Table* table_;
   std::vector<size_t> group_cols_;
   AggKind kind_;
   size_t agg_col_;
   SchemaId out_schema_;
-  Mode mode_;
-  // Incremental: deltas arriving while one is being processed (e.g. a
-  // downstream rule writing back into this table) are queued and drained
-  // in order by the active invocation.
+  // Deltas arriving while one is being processed (e.g. a downstream rule
+  // writing back into this table) are queued and drained in order by the
+  // active invocation.
   bool processing_ = false;
   std::deque<TableDelta> pending_;
   std::unordered_map<std::vector<Value>, Group, ValueVecHash, ValueVecEq> groups_;
-  // Legacy: Scan() can purge rows and re-enter via the removal listener;
-  // the nested request queues a re-run instead of being dropped.
-  bool recomputing_ = false;
-  bool recompute_queued_ = false;
   std::unordered_map<std::vector<Value>, Value, ValueVecHash, ValueVecEq> last_;
 };
 

@@ -94,8 +94,6 @@ void ChordTestbed::MakeNode(size_t slot, const std::string& landmark) {
     nc.metrics = config_.metrics;
     nc.watches = config_.watches;
     nc.sysstats_period_s = config_.sysstats_period_s;
-    nc.planner_mode = config_.planner;
-    nc.counting = config_.counting;
     nc.replan_interval_s = config_.replan_interval_s;
     std::string extra;
     if (injector_ != nullptr && injector_->IsByzantineNode(slot)) {

@@ -67,10 +67,7 @@ struct TestbedConfig {
   bool reliable = false;
   ReliableConfig reliable_config;
   // Planner configuration for every P2 node the testbed builds (ignored by
-  // the baseline). `counting` toggles support-counted retractions;
-  // `replan_interval_s` > 0 enables the adaptive join-order loop.
-  PlannerMode planner = PlannerMode::kSemiNaive;
-  bool counting = true;
+  // the baseline): > 0 enables the adaptive join-order loop.
   double replan_interval_s = 0;
   // Observability (all optional). The registry/trace need one lane per
   // shard plus the coordinator — with shards > 1 that is

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <map>
 #include <set>
@@ -111,45 +112,6 @@ bool BodyHasVolatileTerm(const RuleAst& rule) {
   return false;
 }
 
-// A remove chain deletes the head tuple a retracted body row once derived.
-// Without per-derivation support counting that is only sound when the head
-// tuple uniquely determines the whole derivation — otherwise a head row
-// with several supports dies when ANY one of them is retracted (e.g.
-// Chord's pingNode(NI,SI) :- succ(NI,S,SI) projects away S, so one evicted
-// succ row must NOT stop pings that other succ rows still justify). Safe
-// iff every positive body-predicate argument is a constant or a variable
-// that reappears in the head, and nothing in the body is volatile.
-bool RemoveChainSafe(const RuleAst& rule) {
-  if (BodyHasVolatileTerm(rule)) {
-    return false;
-  }
-  std::unordered_set<std::string> head_vars;
-  for (const ExprPtr& a : rule.head.args) {
-    if (a->kind == ExprKind::kVar) {
-      head_vars.insert(a->name);
-    }
-  }
-  for (const BodyTerm& term : rule.body) {
-    if (!std::holds_alternative<PredicateAst>(term)) {
-      continue;
-    }
-    const PredicateAst& p = std::get<PredicateAst>(term);
-    if (p.negated) {
-      continue;  // anti-joins contribute no support row to retract
-    }
-    for (const ExprPtr& a : p.args) {
-      if (a->kind == ExprKind::kConst) {
-        continue;
-      }
-      if (a->kind == ExprKind::kVar && a->name != "_" && head_vars.count(a->name) > 0) {
-        continue;
-      }
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 // Plans all the rules of one program into a node (friend of P2Node).
@@ -160,16 +122,9 @@ class PlanBuilder {
       : program_(program),
         node_(node),
         graph_(node->graph_),
-        semi_naive_(node->planner_mode_ == PlannerMode::kSemiNaive),
-        counting_(semi_naive_ && node->counting_),
-        replan_(semi_naive_ && node->replan_interval_s_ > 0) {}
+        replan_(node->replan_interval_s_ > 0) {}
 
   bool Run(std::string* err) {
-    explain_ += std::string("plan mode=") + (semi_naive_ ? "semi-naive" : "legacy");
-    if (semi_naive_) {
-      explain_ += counting_ ? " counting=on" : " counting=off";
-    }
-    explain_ += "\n";
     // Watched predicates: the program's watch() clauses plus any requested
     // at node construction (p2run --watch). Rule plans splice head taps for
     // these as they are built, so collect the set first.
@@ -182,9 +137,7 @@ class PlanBuilder {
     if (!CreateTables(err)) {
       return false;
     }
-    if (counting_) {
-      FindRecursiveTables();
-    }
+    FindRecursiveTables();
     for (const RuleAst& rule : program_.rules) {
       if (rule.IsFact()) {
         if (!InstallFact(rule, err)) {
@@ -519,10 +472,15 @@ class PlanBuilder {
                                                 table, std::move(keys)));
       return true;  // width unchanged
     }
+    JoinElement::TriggerRow trigger = TriggerRowFor(pred);
     explain_ += pad_ + "join " + pred.name + " on " + ColsToString(key_cols) +
-                " est=" + EstToString(est_static) + " live=" + EstToString(est_live) + "\n";
+                " est=" + EstToString(est_static) + " live=" + EstToString(est_live) +
+                (trigger == JoinElement::TriggerRow::kExclude   ? " -trigger"
+                 : trigger == JoinElement::TriggerRow::kInclude ? " +trigger"
+                                                                : "") +
+                "\n";
     Append(chain, graph_.Add<JoinElement>(Gensym("join:" + pred.name), MakePelEnv(), table,
-                                          std::move(keys), "j"));
+                                          std::move(keys), "j", trigger));
     if (probe_sink_ != nullptr) {
       // The JoinElement just declared its index, so the handle resolves now
       // and stays valid (indices are append-only).
@@ -649,13 +607,10 @@ class PlanBuilder {
     std::string label = rule.id.empty() ? Gensym("rule") : rule.id;
     explain_ += "rule " + label + ": table-aggregate " + AggKindName(agg.kind) + "(" +
                 pred.name + ") group=" + ColsToString(group_cols) + " col=" +
-                std::to_string(agg_col) + " -> " + rule.head.name +
-                (semi_naive_ ? " (incremental)" : " (full-scan)") + "\n";
-    auto* watcher = graph_.Add<TableAggWatcher>(
-        Gensym("tableagg:" + rule.head.name), table, std::move(group_cols), agg.kind, agg_col,
-        rule.head.name,
-        semi_naive_ ? TableAggWatcher::Mode::kIncremental
-                    : TableAggWatcher::Mode::kLegacyRecompute);
+                std::to_string(agg_col) + " -> " + rule.head.name + " (incremental)\n";
+    auto* watcher = graph_.Add<TableAggWatcher>(Gensym("tableagg:" + rule.head.name), table,
+                                                std::move(group_cols), agg.kind, agg_col,
+                                                rule.head.name);
     if (WatchTapElement* tap = MaybeHeadTap(rule.head.name, label)) {
       graph_.Connect(watcher, 0, tap, 0);
       graph_.Connect(tap, 0, node_->route_out_, 0);
@@ -721,29 +676,13 @@ class PlanBuilder {
       *err = "rule " + rule.id + ": no event predicate in body";
       return false;
     }
-    if (!semi_naive_ || agg.present) {
-      // Legacy mode (and per-event AggWrap rules, whose bracket semantics
-      // are tied to a single triggering event): first table predicate.
+    if (agg.present) {
+      // Per-event AggWrap rules: the bracket semantics are tied to a single
+      // triggering event, so only the first table predicate triggers.
       return PlanRuleVariant(rule, agg, table_idxs[0], TriggerKind::kDeltaInsert, base_label,
                              /*counted=*/false, err);
     }
-    // Counting lifts the single-derivation restriction: with per-head-row
-    // derivation counts a retracted support decrements and deletes only at
-    // zero, so EVERY pure-table rule with a materialized head — including
-    // projected-support shapes like Chord's pingNode :- succ — gets remove
-    // chains. Volatile bodies stay uncounted (re-deriving the retracted
-    // head is not reproducible), and so do heads in a table-dependency
-    // cycle: counting is only sound for non-recursive strata — a cyclic
-    // retract/re-derive (e.g. through an aggregate that feeds its own
-    // support table) would oscillate forever. With counting off, remove
-    // chains keep the PR 6 gate: only provably single-derivation rules
-    // (RemoveChainSafe).
-    bool counted = counting_ && !rule.delete_head && FindTable(rule.head.name) != nullptr &&
-                   !BodyHasVolatileTerm(rule) && recursive_tables_.count(rule.head.name) == 0;
-    bool remove_chains = counting_
-                             ? counted
-                             : !rule.delete_head && FindTable(rule.head.name) != nullptr &&
-                                   RemoveChainSafe(rule);
+    bool counted = Counted(rule);
     // Semi-naive: a row arriving in ANY body table can complete the join,
     // so each materialized predicate gets its own insert-delta chain.
     std::unordered_set<std::string> used_labels;
@@ -763,9 +702,9 @@ class PlanBuilder {
     // row un-derives head tuples. Each remove-delta chain re-joins the
     // remaining predicates against current state, projects the head tuple
     // and retracts it locally — retractions propagate as deltas instead of
-    // waiting for soft-state expiry. Counted rules decrement the head's
-    // support count (delete at zero); uncounted safe rules delete outright.
-    if (remove_chains) {
+    // waiting for soft-state expiry. Each decrements the head's support
+    // count and deletes the head row at zero.
+    if (counted) {
       for (int idx : table_idxs) {
         const PredicateAst& p = std::get<PredicateAst>(rule.body[idx]);
         std::string label = base_label + "-" + p.name;
@@ -798,12 +737,19 @@ class PlanBuilder {
         explain_ += "rule " + label + ": trigger stream(" + event.name + ")\n";
         break;
       case TriggerKind::kDeltaInsert:
-        explain_ += "rule " + label + ": trigger delta-insert(" + event.name + ")\n";
+        explain_ += "rule " + label + ": trigger delta-insert(" + event.name + ")" +
+                    RankNote(rule, counted) + "\n";
         break;
       case TriggerKind::kDeltaRemove:
-        explain_ += "rule " + label + ": trigger delta-remove(" + event.name + ")\n";
+        explain_ += "rule " + label + ": trigger delta-remove(" + event.name + ")" +
+                    RankNote(rule, counted) + "\n";
         break;
     }
+
+    trigger_rule_ = &rule;
+    trigger_idx_ =
+        trig == TriggerKind::kDeltaInsert || trig == TriggerKind::kDeltaRemove ? event_idx : -1;
+    trigger_kind_ = trig;
 
     // 1. Create the rule driver and bind the event.
     auto* driver = graph_.Add<RuleDriver>("rule:" + label, nullptr);
@@ -830,8 +776,8 @@ class PlanBuilder {
         }
       }
     }
-    bool cost_order = semi_naive_ && !BodyHasVolatileTerm(rule);
-    if (semi_naive_ && !cost_order) {
+    bool cost_order = !BodyHasVolatileTerm(rule);
+    if (!cost_order) {
       explain_ += "    order=source (volatile exprs)\n";
     }
 
@@ -845,9 +791,7 @@ class PlanBuilder {
         return false;
       }
     } else {
-      if (!(cost_order
-                ? OrderBodyByCost(rule, &remaining, &chain, &env, &width, nullptr, err)
-                : OrderBodyBySource(rule, &remaining, &chain, &env, &width, err))) {
+      if (!LowerBody(rule, remaining, cost_order, nullptr, &chain, &env, &width, err)) {
         return false;
       }
       if (!FinishChainTail(rule, agg, &event, trig, label, counted, &chain, env, err)) {
@@ -903,8 +847,7 @@ class PlanBuilder {
       Chain single = *chain;
       VarEnv benv = env;
       size_t bwidth = width;
-      std::vector<const BodyTerm*> terms = remaining;
-      if (!OrderBodyByCost(rule, &terms, &single, &benv, &bwidth, nullptr, err)) {
+      if (!LowerBody(rule, remaining, /*by_cost=*/true, nullptr, &single, &benv, &bwidth, err)) {
         return false;
       }
       return FinishChainTail(rule, agg, nullptr, trig, label, counted, &single, benv, err);
@@ -918,14 +861,14 @@ class PlanBuilder {
       Chain branch{chain->driver, sw, static_cast<int>(k)};
       VarEnv benv = env;
       size_t bwidth = width;
-      std::vector<const BodyTerm*> terms = remaining;
       if (k > 0) {
         explain_ += "    alt-plan " + std::to_string(k) + ":\n";
         pad_ = "      ";
       }
       ReplanVariant variant;
       probe_sink_ = &variant;
-      bool ok = OrderBodyByCost(rule, &terms, &branch, &benv, &bwidth, forces[k], err) &&
+      bool ok = LowerBody(rule, remaining, /*by_cost=*/true, forces[k], &branch, &benv, &bwidth,
+                          err) &&
                 FinishChainTail(rule, agg, nullptr, trig, label, counted, &branch, benv, err);
       probe_sink_ = nullptr;
       pad_ = "    ";
@@ -938,100 +881,20 @@ class PlanBuilder {
     return true;
   }
 
-  // Mirrors OrderBodyByCost's selection logic without building elements:
-  // computes the positive-join order that the builder would produce, with
-  // `force_first` (when non-null) pinned as the first join. Returns false
-  // when no legal order exists (or the forced join cannot run first).
+  // The positive-join sequence LowerBody would produce with `force_first`
+  // (when non-null) pinned as the first join, without building elements.
+  // False when no legal order exists or the forced join cannot run first.
   bool SimulateOrder(const std::vector<const BodyTerm*>& terms, VarEnv env,
                      const PredicateAst* force_first,
                      std::vector<const PredicateAst*>* join_seq) {
-    std::vector<const BodyTerm*> remaining = terms;
-    size_t next_pos = 10000;  // fake binding slots; only membership matters
-    bool force_pending = force_first != nullptr;
-    while (!remaining.empty()) {
-      bool progressed = true;
-      while (progressed) {
-        progressed = false;
-        for (size_t i = 0; i < remaining.size(); ++i) {
-          const BodyTerm& term = *remaining[i];
-          bool processable = false;
-          if (std::holds_alternative<PredicateAst>(term)) {
-            const PredicateAst& p = std::get<PredicateAst>(term);
-            if (!p.negated) {
-              continue;
-            }
-            processable = true;
-            for (const ExprPtr& a : p.args) {
-              if (a->kind == ExprKind::kVar && a->name != "_" && env.count(a->name) == 0) {
-                processable = false;
-                break;
-              }
-            }
-          } else if (std::holds_alternative<AssignAst>(term)) {
-            processable = ExprBound(*std::get<AssignAst>(term).expr, env);
-          } else {
-            processable = ExprBound(*std::get<ExprPtr>(term), env);
-          }
-          if (!processable) {
-            continue;
-          }
-          if (std::holds_alternative<AssignAst>(term)) {
-            env[std::get<AssignAst>(term).var] = next_pos++;
-          }
-          remaining.erase(remaining.begin() + i);
-          progressed = true;
-          break;
-        }
+    return WalkBody(terms, &env, /*by_cost=*/true, force_first, [&](const BodyTerm& term) {
+      const auto* p = std::get_if<PredicateAst>(&term);
+      if (p != nullptr && !p->negated) {
+        join_seq->push_back(p);
       }
-      if (remaining.empty()) {
-        break;
-      }
-      int best = -1;
-      if (force_pending) {
-        for (size_t i = 0; i < remaining.size(); ++i) {
-          if (std::holds_alternative<PredicateAst>(*remaining[i]) &&
-              &std::get<PredicateAst>(*remaining[i]) == force_first) {
-            best = static_cast<int>(i);
-            break;
-          }
-        }
-        if (best < 0 || !PredArgsBound(*force_first, env)) {
-          return false;
-        }
-        force_pending = false;
-      } else {
-        double best_est = std::numeric_limits<double>::infinity();
-        for (size_t i = 0; i < remaining.size(); ++i) {
-          const BodyTerm& term = *remaining[i];
-          if (!std::holds_alternative<PredicateAst>(term)) {
-            continue;
-          }
-          const PredicateAst& p = std::get<PredicateAst>(term);
-          if (p.negated || !PredArgsBound(p, env)) {
-            continue;
-          }
-          Table* table = FindTable(p.name);
-          double est = table == nullptr ? std::numeric_limits<double>::max()
-                                        : table->EstimateFanout(BoundCols(p, env));
-          if (est < best_est) {
-            best_est = est;
-            best = static_cast<int>(i);
-          }
-        }
-      }
-      if (best < 0) {
-        return false;
-      }
-      const PredicateAst& p = *(&std::get<PredicateAst>(*remaining[best]));
-      join_seq->push_back(&p);
-      for (const ExprPtr& a : p.args) {
-        if (a->kind == ExprKind::kVar && a->name != "_" && env.count(a->name) == 0) {
-          env[a->name] = next_pos++;
-        }
-      }
-      remaining.erase(remaining.begin() + best);
-    }
-    return true;
+      Bind(term, &env);
+      return true;
+    });
   }
 
   // Steps 3 + 4 of rule planning: head projection (+ aggregation bracket),
@@ -1118,17 +981,11 @@ class PlanBuilder {
       prog.Emit(PelOp::kEq);
       Append(chain,
              graph_.Add<FilterElement>(Gensym("localguard"), MakePelEnv(), std::move(prog)));
-      if (counted) {
-        auto* retractor = graph_.Add<CountedRetractElement>(
-            Gensym("countretract:" + rule.head.name), GetSupportCounts(head_table));
-        Append(chain, retractor);
-        retractors_current_.push_back(retractor);
-        explain_ += pad_ + "project " + rule.head.name + " -> retract-count (local)\n";
-      } else {
-        Append(chain,
-               graph_.Add<DeleteElement>(Gensym("retract:" + rule.head.name), head_table));
-        explain_ += pad_ + "project " + rule.head.name + " -> retract (local)\n";
-      }
+      auto* retractor = graph_.Add<CountedRetractElement>(
+          Gensym("countretract:" + rule.head.name), GetSupportCounts(head_table));
+      Append(chain, retractor);
+      retractors_current_.push_back(retractor);
+      explain_ += pad_ + "project " + rule.head.name + " -> retract-count (local)\n";
     } else if (rule.delete_head) {
       Table* table = FindTable(rule.head.name);
       if (table == nullptr) {
@@ -1209,56 +1066,45 @@ class PlanBuilder {
           for (SupportCountElement* c : counters) {
             c->set_counting(saved);
           }
-        });
+        }, CountedLevel(rule));
       } else {
         table->AddDeltaListener([driver](const TuplePtr& t) { driver->Push(0, t, nullptr); });
       }
     } else if (trig == TriggerKind::kDeltaRemove) {
       Table* table = FindTable(event.name);
       P2_CHECK(table != nullptr);
-      if (counted) {
-        // Counting remove listener. Three retraction sources: real removals
-        // (delete/eviction) retract-and-delete-at-zero; a replace that
-        // changed content retracts the OLD row's derivations (the insert
-        // listener, attached earlier, already counted the new ones — inc
-        // before dec, so a row passing through the same key never dips to
-        // zero transiently); TTL expiry decrements WITHOUT deleting, so
-        // counts track live supports exactly while expiry stays
-        // non-retracting.
-        std::vector<CountedRetractElement*> retractors = std::move(retractors_current_);
-        retractors_current_.clear();
-        P2_CHECK(!retractors.empty());
-        table->AddTypedListener([driver, retractors](const TableDelta& d) {
-          TuplePtr gone;
-          bool retract = true;
-          if (d.kind == TableDelta::Kind::kRemove) {
-            gone = d.tuple;
-            retract = d.cause != TableDelta::Cause::kExpiry;
-          } else if (d.kind == TableDelta::Kind::kReplace && d.old_tuple != nullptr &&
-                     !d.old_tuple->SameAs(*d.tuple)) {
-            gone = d.old_tuple;
-          } else {
-            return;
-          }
-          bool saved = retractors.front()->retracting();
-          for (CountedRetractElement* r : retractors) {
-            r->set_retracting(retract);
-          }
-          driver->Push(0, gone, nullptr);
-          for (CountedRetractElement* r : retractors) {
-            r->set_retracting(saved);
-          }
-        });
-      } else {
-        // Only true retractions (deletes, evictions) propagate; TTL expiry
-        // is the refresh cycle at work, and derived rows age out on their
-        // own TTL as they always have.
-        table->AddTypedListener([driver](const TableDelta& d) {
-          if (d.kind == TableDelta::Kind::kRemove && d.cause != TableDelta::Cause::kExpiry) {
-            driver->Push(0, d.tuple, nullptr);
-          }
-        });
-      }
+      // Counting remove listener. Three retraction sources: real removals
+      // (delete/eviction) retract-and-delete-at-zero; a replace that
+      // changed content retracts the OLD row's derivations (the insert
+      // listener, attached earlier, already counted the new ones — inc
+      // before dec, so a row passing through the same key never dips to
+      // zero transiently); TTL expiry decrements WITHOUT deleting, so
+      // counts track live supports exactly while expiry stays
+      // non-retracting.
+      std::vector<CountedRetractElement*> retractors = std::move(retractors_current_);
+      retractors_current_.clear();
+      P2_CHECK(!retractors.empty());
+      table->AddTypedListener([driver, retractors](const TableDelta& d) {
+        TuplePtr gone;
+        bool retract = true;
+        if (d.kind == TableDelta::Kind::kRemove) {
+          gone = d.tuple;
+          retract = d.cause != TableDelta::Cause::kExpiry;
+        } else if (d.kind == TableDelta::Kind::kReplace && d.old_tuple != nullptr &&
+                   !d.old_tuple->SameAs(*d.tuple)) {
+          gone = d.old_tuple;
+        } else {
+          return;
+        }
+        bool saved = retractors.front()->retracting();
+        for (CountedRetractElement* r : retractors) {
+          r->set_retracting(retract);
+        }
+        driver->Push(0, gone, nullptr);
+        for (CountedRetractElement* r : retractors) {
+          r->set_retracting(saved);
+        }
+      }, CountedLevel(rule));
     } else {
       // Stream event: demux -> (shared per-name dup) -> driver.
       DupElement*& dup = node_->event_dups_[event.name];
@@ -1271,137 +1117,109 @@ class PlanBuilder {
     return true;
   }
 
-  // Legacy term ordering: first processable term wins, preserving source
-  // order otherwise.
-  bool OrderBodyBySource(const RuleAst& rule, std::vector<const BodyTerm*>* remaining,
-                         Chain* chain, VarEnv* env, size_t* width, std::string* err) {
-    while (!remaining->empty()) {
-      bool progressed = false;
-      for (size_t i = 0; i < remaining->size(); ++i) {
-        const BodyTerm& term = *(*remaining)[i];
-        bool processable = false;
-        if (std::holds_alternative<PredicateAst>(term)) {
-          const PredicateAst& p = std::get<PredicateAst>(term);
-          if (p.negated) {
-            processable = true;
-            for (const ExprPtr& a : p.args) {
-              if (a->kind == ExprKind::kVar && a->name != "_" && env->count(a->name) == 0) {
-                processable = false;
-                break;
-              }
-            }
-          } else {
-            processable = true;
-          }
-        } else if (std::holds_alternative<AssignAst>(term)) {
-          processable = ExprBound(*std::get<AssignAst>(term).expr, *env);
-        } else {
-          processable = ExprBound(*std::get<ExprPtr>(term), *env);
-        }
-        if (!processable) {
-          continue;
-        }
-        if (!ApplyTerm(term, chain, env, width, err)) {
+  // True when `term` can run under `env`: every variable it reads is bound.
+  // Positive joins bind rather than read, so they count only with `joins`.
+  bool CanRun(const BodyTerm& term, const VarEnv& env, bool joins) {
+    if (const auto* p = std::get_if<PredicateAst>(&term)) {
+      if (!p->negated) {
+        return joins;
+      }
+      for (const ExprPtr& a : p->args) {
+        if (a->kind == ExprKind::kVar && a->name != "_" && env.count(a->name) == 0) {
           return false;
         }
-        remaining->erase(remaining->begin() + i);
-        progressed = true;
-        break;
       }
-      if (!progressed) {
-        *err = "rule " + rule.id + ": cannot order body terms (unbound variables)";
+      return true;
+    }
+    if (const auto* assign = std::get_if<AssignAst>(&term)) {
+      return ExprBound(*assign->expr, env);
+    }
+    return ExprBound(*std::get<ExprPtr>(term), env);
+  }
+
+  // Marks the variables `term` binds (membership only: SimulateOrder).
+  void Bind(const BodyTerm& term, VarEnv* env) {
+    if (const auto* assign = std::get_if<AssignAst>(&term)) {
+      env->emplace(assign->var, 0);
+    } else if (const auto* p = std::get_if<PredicateAst>(&term); p != nullptr && !p->negated) {
+      for (const ExprPtr& a : p->args) {
+        if (a->kind == ExprKind::kVar && a->name != "_") {
+          env->emplace(a->name, 0);
+        }
+      }
+    }
+  }
+
+  // The next body term to lower, or -1 when none can run. In source order
+  // (rules with volatile expressions) the first term that can run wins. By
+  // cost, selective cheap terms (filters, assignments, anti-joins) run, in
+  // source order, as soon as their variables are bound; otherwise the
+  // positive join with the smallest estimated fanout runs next (ties:
+  // source order), so the narrowest probe runs first and intermediate
+  // results stay small. `force_first`, when set, is that join instead.
+  int NextTerm(const std::vector<const BodyTerm*>& remaining, const VarEnv& env, bool by_cost,
+               const PredicateAst* force_first) {
+    for (size_t i = 0; i < remaining.size(); ++i) {
+      if (CanRun(*remaining[i], env, /*joins=*/!by_cost)) {
+        return static_cast<int>(i);
+      }
+    }
+    int best = -1;
+    double best_est = std::numeric_limits<double>::infinity();
+    for (size_t i = 0; i < remaining.size() && by_cost; ++i) {
+      const auto* p = std::get_if<PredicateAst>(remaining[i]);
+      if (p == nullptr || p->negated || !PredArgsBound(*p, env) ||
+          (force_first != nullptr && p != force_first)) {
+        continue;
+      }
+      Table* table = FindTable(p->name);
+      double est = table == nullptr ? std::numeric_limits<double>::max()
+                                    : table->EstimateFanout(BoundCols(*p, env));
+      if (est < best_est) {
+        best_est = est;
+        best = static_cast<int>(i);
+      }
+    }
+    return best;
+  }
+
+  // Visits `terms` in lowering order (see NextTerm). `visit` must bind the
+  // term's variables into *env. False when some term can never run, or
+  // when `visit` fails.
+  bool WalkBody(std::vector<const BodyTerm*> remaining, VarEnv* env, bool by_cost,
+                const PredicateAst* force_first,
+                const std::function<bool(const BodyTerm&)>& visit) {
+    while (!remaining.empty()) {
+      int next = NextTerm(remaining, *env, by_cost, force_first);
+      if (next < 0) {
+        return false;
+      }
+      const BodyTerm& term = *remaining[next];
+      if (std::holds_alternative<PredicateAst>(term) && !std::get<PredicateAst>(term).negated) {
+        force_first = nullptr;  // only the first join is pinned
+      }
+      remaining.erase(remaining.begin() + next);
+      if (!visit(term)) {
         return false;
       }
     }
     return true;
   }
 
-  // Cost-aware term ordering: selective cheap terms (filters, assignments,
-  // anti-joins) apply as soon as their variables are bound; positive joins
-  // are chosen greedily by estimated fanout so the narrowest probe runs
-  // first and intermediate results stay small. `force_first`, when set,
-  // overrides the FIRST join choice only (alternate-order lowering);
-  // SimulateOrder has already validated it is processable.
-  bool OrderBodyByCost(const RuleAst& rule, std::vector<const BodyTerm*>* remaining,
-                       Chain* chain, VarEnv* env, size_t* width,
-                       const PredicateAst* force_first, std::string* err) {
-    while (!remaining->empty()) {
-      // 1) Drain every currently-processable non-join term, source order.
-      bool progressed = true;
-      while (progressed) {
-        progressed = false;
-        for (size_t i = 0; i < remaining->size(); ++i) {
-          const BodyTerm& term = *(*remaining)[i];
-          bool processable = false;
-          if (std::holds_alternative<PredicateAst>(term)) {
-            const PredicateAst& p = std::get<PredicateAst>(term);
-            if (!p.negated) {
-              continue;  // positive join: cost-selected below
-            }
-            processable = true;
-            for (const ExprPtr& a : p.args) {
-              if (a->kind == ExprKind::kVar && a->name != "_" && env->count(a->name) == 0) {
-                processable = false;
-                break;
-              }
-            }
-          } else if (std::holds_alternative<AssignAst>(term)) {
-            processable = ExprBound(*std::get<AssignAst>(term).expr, *env);
-          } else {
-            processable = ExprBound(*std::get<ExprPtr>(term), *env);
-          }
-          if (!processable) {
-            continue;
-          }
-          if (!ApplyTerm(term, chain, env, width, err)) {
-            return false;
-          }
-          remaining->erase(remaining->begin() + i);
-          progressed = true;
-          break;
-        }
-      }
-      if (remaining->empty()) {
-        break;
-      }
-      // 2) Cheapest processable positive join next (ties: source order).
-      int best = -1;
-      double best_est = std::numeric_limits<double>::infinity();
-      for (size_t i = 0; i < remaining->size(); ++i) {
-        const BodyTerm& term = *(*remaining)[i];
-        if (!std::holds_alternative<PredicateAst>(term)) {
-          continue;
-        }
-        const PredicateAst& p = std::get<PredicateAst>(term);
-        if (force_first != nullptr) {
-          if (&p == force_first) {
-            best = static_cast<int>(i);
-            break;
-          }
-          continue;
-        }
-        if (p.negated || !PredArgsBound(p, *env)) {
-          continue;
-        }
-        Table* table = FindTable(p.name);
-        double est = table == nullptr ? std::numeric_limits<double>::max()
-                                      : table->EstimateFanout(BoundCols(p, *env));
-        if (est < best_est) {
-          best_est = est;
-          best = static_cast<int>(i);
-        }
-      }
-      force_first = nullptr;
-      if (best < 0) {
-        *err = "rule " + rule.id + ": cannot order body terms (unbound variables)";
-        return false;
-      }
-      if (!ApplyTerm(*(*remaining)[best], chain, env, width, err)) {
-        return false;
-      }
-      remaining->erase(remaining->begin() + best);
+  // Lowers the remaining body terms onto `chain` in WalkBody order.
+  bool LowerBody(const RuleAst& rule, const std::vector<const BodyTerm*>& terms, bool by_cost,
+                 const PredicateAst* force_first, Chain* chain, VarEnv* env, size_t* width,
+                 std::string* err) {
+    bool applied = true;
+    if (WalkBody(terms, env, by_cost, force_first, [&](const BodyTerm& term) {
+          return applied = ApplyTerm(term, chain, env, width, err);
+        })) {
+      return true;
     }
-    return true;
+    if (applied) {
+      *err = "rule " + rule.id + ": cannot order body terms (unbound variables)";
+    }
+    return false;
   }
 
   bool ApplyTerm(const BodyTerm& term, Chain* chain, VarEnv* env, size_t* width,
@@ -1413,6 +1231,100 @@ class PlanBuilder {
       return AppendAssign(std::get<AssignAst>(term), chain, env, width, err);
     }
     return AppendFilter(std::get<ExprPtr>(term), chain, *env, err);
+  }
+
+  // How a join of the current delta variant treats its trigger row (see
+  // JoinElement::TriggerRow). Only self-joins need care: each derivation is
+  // credited to the FIRST body position holding the trigger row. After an
+  // insert the table already holds it, so earlier positions skip it; after
+  // a removal it is gone, so later positions must still match it.
+  JoinElement::TriggerRow TriggerRowFor(const PredicateAst& pred) const {
+    if (trigger_idx_ < 0 ||
+        pred.name != std::get<PredicateAst>(trigger_rule_->body[trigger_idx_]).name) {
+      return JoinElement::TriggerRow::kNone;
+    }
+    int idx = 0;
+    while (std::get_if<PredicateAst>(&trigger_rule_->body[idx]) != &pred) {
+      ++idx;
+    }
+    if (trigger_kind_ == TriggerKind::kDeltaInsert) {
+      return idx < trigger_idx_ ? JoinElement::TriggerRow::kExclude
+                                : JoinElement::TriggerRow::kNone;
+    }
+    return idx < trigger_idx_ ? JoinElement::TriggerRow::kNone : JoinElement::TriggerRow::kInclude;
+  }
+
+  // Support counting: with per-head-row derivation counts a retracted
+  // support decrements and deletes only at zero, so EVERY pure-table rule
+  // with a materialized head — including projected-support shapes like
+  // Chord's pingNode :- succ — gets remove chains. Volatile bodies stay
+  // uncounted (re-deriving the retracted head is not reproducible), and so
+  // do heads in a table-dependency cycle: counting is only sound for
+  // non-recursive strata — a cyclic retract/re-derive (e.g. through an
+  // aggregate that feeds its own support table) would oscillate forever.
+  // Uncounted rules get no remove chains; their heads age out by TTL.
+  bool Counted(const RuleAst& rule) {
+    bool pure_table = !rule.IsFact() && !rule.delete_head;
+    for (const ExprPtr& a : rule.head.args) {
+      pure_table = pure_table && a->kind != ExprKind::kAgg;
+    }
+    for (const BodyTerm& term : rule.body) {
+      const auto* p = std::get_if<PredicateAst>(&term);
+      pure_table = pure_table && (p == nullptr || p->negated || FindTable(p->name) != nullptr);
+    }
+    return pure_table && FindTable(rule.head.name) != nullptr && !BodyHasVolatileTerm(rule) &&
+           recursive_tables_.count(rule.head.name) == 0 && SelfJoinsKeyWholeRows(rule);
+  }
+
+  // A counted rule's listeners fire before those of the counted rules it
+  // reads from, on every table both read: each delta then reaches a reader
+  // before the head rows it causes do, so every derivation is counted and
+  // retracted exactly once. Rules reading no counted head are level 0;
+  // the rest sit one level above the highest rule they read from.
+  int CountedLevel(const RuleAst& rule) {
+    auto it = counted_levels_.find(&rule);
+    if (it != counted_levels_.end()) {
+      return it->second;
+    }
+    int level = 0;
+    for (const BodyTerm& term : rule.body) {
+      const auto* p = std::get_if<PredicateAst>(&term);
+      for (const RuleAst& other : program_.rules) {
+        if (p != nullptr && other.head.name == p->name && Counted(other)) {
+          level = std::max(level, 1 + CountedLevel(other));
+        }
+      }
+    }
+    counted_levels_[&rule] = level;
+    return level;
+  }
+
+  std::string RankNote(const RuleAst& rule, bool counted) {
+    int level = counted ? CountedLevel(rule) : 0;
+    return level > 0 ? " rank=" + std::to_string(level) : "";
+  }
+
+  // A table read at several body positions must be keyed on its whole row
+  // (location aside): a content-changing replace would leave the old and
+  // the new row in one self-join combination, which no chain can retract.
+  // True when every table the rule's body reads more than once is keyed on
+  // all its columns but the location, so replaces never change a row.
+  bool SelfJoinsKeyWholeRows(const RuleAst& rule) {
+    std::map<std::string, int> reads;
+    for (const BodyTerm& term : rule.body) {
+      const auto* p = std::get_if<PredicateAst>(&term);
+      if (p == nullptr || p->negated || ++reads[p->name] < 2) {
+        continue;
+      }
+      const TableSpec& spec = FindTable(p->name)->spec();
+      std::set<size_t> key(spec.key_positions.begin(), spec.key_positions.end());
+      for (size_t c = 1; c < spec.arity && !spec.key_positions.empty(); ++c) {
+        if (key.count(c) == 0) {
+          return false;
+        }
+      }
+    }
+    return true;
   }
 
   // Builds a head-side tap for `pred` when it is watched, or returns null.
@@ -1430,11 +1342,7 @@ class PlanBuilder {
   const ProgramAst& program_;
   P2Node* node_;
   Graph& graph_;
-  const bool semi_naive_;
-  // Support counting (tentpole 1): on by default under semi-naive; off
-  // reproduces the PR 6 remove-chain gating bit-for-bit.
-  const bool counting_;
-  // Adaptive replanning (tentpole 2): lower alternate join orders when the
+  // Adaptive replanning: lower alternate join orders when the
   // node is configured with a replan interval.
   const bool replan_;
   // Explain indentation: deepened to six spaces inside alt-plan branches.
@@ -1449,6 +1357,12 @@ class PlanBuilder {
   // At most this many fully lowered join orders per chain: the greedy
   // static order plus up to two forced-first alternates.
   static constexpr int kMaxOrderVariants = 3;
+  // The rule variant being lowered, and its delta trigger's body position
+  // (-1 for stream and periodic triggers).
+  const RuleAst* trigger_rule_ = nullptr;
+  int trigger_idx_ = -1;
+  TriggerKind trigger_kind_ = TriggerKind::kPeriodic;
+  std::map<const RuleAst*, int> counted_levels_;
   // Tables in a rule-dependency cycle: their rules fall back to TTL decay
   // instead of counted retraction (non-recursive strata only).
   std::set<std::string> recursive_tables_;

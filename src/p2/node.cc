@@ -33,8 +33,6 @@ P2Node::P2Node(P2NodeConfig config)
       executor_(config.executor),
       transport_(config.transport),
       rng_(config.seed),
-      planner_mode_(config.planner_mode),
-      counting_(config.counting),
       replan_interval_s_(config.replan_interval_s),
       replan_delta_threshold_(config.replan_delta_threshold),
       metrics_(config.metrics),

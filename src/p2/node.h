@@ -16,7 +16,6 @@
 #include "src/dataflow/graph.h"
 #include "src/dataflow/rel_elements.h"
 #include "src/net/transport.h"
-#include "src/overlog/planner.h"
 #include "src/overlog/replan.h"
 #include "src/runtime/executor.h"
 #include "src/runtime/random.h"
@@ -30,14 +29,6 @@ struct P2NodeConfig {
   Transport* transport = nullptr;   // required
   uint64_t seed = 1;                // per-node RNG stream
   size_t input_queue_capacity = 8192;
-  // Rule compilation strategy; kLegacy reproduces the pre-semi-naive
-  // planner for differential testing.
-  PlannerMode planner_mode = PlannerMode::kSemiNaive;
-  // Support-counted retractions (semi-naive mode only): every pure-table
-  // rule gets a remove chain, with per-head-row derivation counts deciding
-  // when the head is really gone. Off reproduces the PR 6 planner exactly
-  // (remove chains only for provably single-derivation rules).
-  bool counting = true;
   // When > 0, poll live table statistics at this virtual-time period and
   // swap pre-compiled alternate join orders when the cost order inverts.
   // 0 (default) disables the loop; plans stay frozen at install time.
@@ -106,7 +97,7 @@ class P2Node {
 
   // Human-readable dump of every rule's compiled plan — trigger deltas,
   // join order with fanout estimates, probed indices, head routing.
-  // Deterministic for a given program and planner mode (`p2run --explain`
+  // Deterministic for a given program and configuration (`p2run --explain`
   // and the golden-plan tests rely on this).
   const std::string& PlanExplain() const { return plan_explain_; }
 
@@ -149,8 +140,6 @@ class P2Node {
   Transport* transport_;
   Rng rng_;
   NodeStats stats_;
-  PlannerMode planner_mode_ = PlannerMode::kSemiNaive;
-  bool counting_ = true;
   double replan_interval_s_ = 0;
   uint64_t replan_delta_threshold_ = 64;
   std::string plan_explain_;

@@ -176,10 +176,12 @@ void ShardedSim::EnsureWorkers() {
     last_events_.assign(loops_.size(), 0);
     window_cost_.assign(loops_.size(), 0);
   }
-  spin_iters_ = SpinBudget(active);
   if (active <= 1 || !workers_.empty()) {
     return;
   }
+  // Set once, before any worker exists: parked workers read it unlocked,
+  // and num_workers() cannot change once they run.
+  spin_iters_ = SpinBudget(active);
   workers_.reserve(active - 1);
   for (size_t w = 1; w < active; ++w) {
     workers_.emplace_back([this, w]() { WorkerMain(w); });

@@ -200,6 +200,16 @@ bool Table::Insert(const TuplePtr& t) {
   return changed;
 }
 
+void Table::AddTypedListener(TypedDeltaFn fn, int rank) {
+  size_t at = 0;
+  while (at < listener_ranks_.size() && listener_ranks_[at] >= rank) {
+    ++at;
+  }
+  listener_ranks_.insert(listener_ranks_.begin() + static_cast<std::ptrdiff_t>(at), rank);
+  typed_listeners_.insert(typed_listeners_.begin() + static_cast<std::ptrdiff_t>(at),
+                          std::move(fn));
+}
+
 bool Table::DeleteByKey(const std::vector<Value>& key) {
   PurgeExpired();
   auto found = primary_.find(key);

@@ -127,16 +127,17 @@ class Table {
 
   size_t size();
 
-  // All listeners — insert-only, remove-only, and typed — share ONE
-  // registration-ordered list, so relative firing order between (say) an
-  // aggregate watcher and a rule driver is exactly attach order. Plans
-  // depend on this: a watcher attached before a rule sees each delta
-  // first, so the rule's joins probe the watcher's already-updated output
-  // table.
+  // All listeners — insert-only, remove-only, and typed — share ONE list,
+  // ordered by descending rank and then by registration, so relative firing
+  // order between (say) an aggregate watcher and a rule driver is exactly
+  // attach order. Plans depend on this: a watcher attached before a rule
+  // sees each delta first, so the rule's joins probe the watcher's
+  // already-updated output table. Only the planner's counted chains use a
+  // nonzero rank (see PlanBuilder::CountedLevel).
 
   // Registers a content-change listener (insert deltas, incl. replaces).
   void AddDeltaListener(DeltaFn fn) {
-    typed_listeners_.push_back([fn = std::move(fn)](const TableDelta& d) {
+    AddTypedListener([fn = std::move(fn)](const TableDelta& d) {
       if (d.kind != TableDelta::Kind::kRemove) {
         fn(d.tuple);
       }
@@ -144,14 +145,14 @@ class Table {
   }
   // Registers a removal listener (deletes, expiry, eviction).
   void AddRemoveListener(RemoveFn fn) {
-    typed_listeners_.push_back([fn = std::move(fn)](const TableDelta& d) {
+    AddTypedListener([fn = std::move(fn)](const TableDelta& d) {
       if (d.kind == TableDelta::Kind::kRemove) {
         fn(d.tuple);
       }
     });
   }
   // Registers a typed delta listener (insert / replace-with-old / remove).
-  void AddTypedListener(TypedDeltaFn fn) { typed_listeners_.push_back(std::move(fn)); }
+  void AddTypedListener(TypedDeltaFn fn, int rank = 0);
 
   // --- Statistics for the planner's cost model ---
 
@@ -253,6 +254,7 @@ class Table {
   };
   std::vector<ScanStat> scan_stats_;
   std::vector<TypedDeltaFn> typed_listeners_;
+  std::vector<int> listener_ranks_;  // parallel to typed_listeners_
   uint64_t delta_seq_ = 0;
   TimerId expiry_timer_ = kInvalidTimer;
   double expiry_armed_at_ = std::numeric_limits<double>::infinity();

@@ -49,12 +49,5 @@ INSTANTIATE_TEST_SUITE_P(AllOverlays, ExplainGoldenTest,
                            return std::string(OverlayKindName(info.param));
                          });
 
-TEST(ExplainLegacyTest, LegacyModeDumpsLegacyPlans) {
-  std::string dump = ExplainOverlayPlan(OverlayKind::kPathVector, PlannerMode::kLegacy);
-  EXPECT_NE(dump.find("plan mode=legacy"), std::string::npos);
-  EXPECT_EQ(dump.find("delta-remove"), std::string::npos);
-  EXPECT_NE(dump.find("(full-scan)"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace p2

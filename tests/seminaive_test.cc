@@ -1,12 +1,12 @@
 // Semi-naive planner and incremental-aggregate unit tests.
 //
-// Pins the delta semantics the PR-6 planner introduced: pure-table rules
-// fire from EVERY materialized body predicate (not just the first), safe
-// remove chains retract derived rows when a support is deleted or evicted
-// (but not when it merely expires — soft state ages out on its own TTL),
-// unsafe projections fall back to TTL decay instead of over-deleting, and
-// the incremental table-aggregate watcher tracks count/sum/avg in O(1)
-// and min/max through a support multiset, queueing re-entrant deltas.
+// Pins the planner's delta semantics: pure-table rules fire from EVERY
+// materialized body predicate (not just the first), remove chains retract
+// derived rows when a support is deleted or evicted (but not when it
+// merely expires — soft state ages out on its own TTL), projected heads
+// survive while any derivation still supports them, and the incremental
+// table-aggregate watcher tracks count/sum/avg in O(1) and min/max
+// through a support multiset, queueing re-entrant deltas.
 #include <gtest/gtest.h>
 
 #include "src/dataflow/rel_elements.h"
@@ -22,13 +22,11 @@ class SemiNaiveTest : public ::testing::Test {
     t1_ = net_.MakeTransport("n1", 0);
   }
 
-  std::unique_ptr<P2Node> Install(const std::string& program,
-                                  PlannerMode mode = PlannerMode::kSemiNaive) {
+  std::unique_ptr<P2Node> Install(const std::string& program) {
     P2NodeConfig c;
     c.executor = &loop_;
     c.transport = t1_.get();
     c.seed = 1;
-    c.planner_mode = mode;
     auto node = std::make_unique<P2Node>(c);
     std::string err;
     EXPECT_TRUE(node->Install(program, &err)) << err;
@@ -65,22 +63,6 @@ TEST_F(SemiNaiveTest, PureTableRuleFiresFromEveryBodyPredicate) {
   EXPECT_NE(h->FindByKey({Value::Int(2)}), nullptr);
 }
 
-TEST_F(SemiNaiveTest, LegacyModeOnlyTriggersOnFirstPredicate) {
-  const std::string program =
-      "materialize(a, infinity, 100, keys(2)).\n"
-      "materialize(b, infinity, 100, keys(2)).\n"
-      "materialize(h, infinity, 100, keys(2)).\n"
-      "r1 h@X(X,K,V) :- a@X(X,K), b@X(X,K,V).\n";
-  auto n = Install(program, PlannerMode::kLegacy);
-  n->Start();
-  // a then b: the legacy single trigger (first predicate) misses this.
-  n->GetTable("a")->Insert(Tuple::Make("a", {Value::Addr("n1"), Value::Int(1)}));
-  n->GetTable("b")->Insert(
-      Tuple::Make("b", {Value::Addr("n1"), Value::Int(1), Value::Str("x")}));
-  loop_.RunUntil(1.0);
-  EXPECT_EQ(n->GetTable("h")->size(), 0u);  // the gap semi-naive closes
-}
-
 // --- Remove chains --------------------------------------------------------
 
 TEST_F(SemiNaiveTest, DeleteRetractsDerivedRow) {
@@ -95,8 +77,7 @@ TEST_F(SemiNaiveTest, DeleteRetractsDerivedRow) {
   n->GetTable("b")->Insert(
       Tuple::Make("b", {Value::Addr("n1"), Value::Int(1), Value::Str("x")}));
   ASSERT_EQ(n->GetTable("h")->size(), 1u);
-  // Retracting either support un-derives h (all body vars appear in the
-  // head, so the remove chain is provably safe).
+  // Retracting either support un-derives h: its only derivation is gone.
   n->GetTable("a")->DeleteByKey({Value::Int(1)});
   loop_.RunUntil(1.0);
   EXPECT_EQ(n->GetTable("h")->size(), 0u);
@@ -137,8 +118,9 @@ TEST_F(SemiNaiveTest, ExpiryDoesNotRetractDerivedRow) {
 
 TEST_F(SemiNaiveTest, ProjectedSupportGetsNoRemoveChain) {
   // h projects S away, so one h row can have many derivations; deleting a
-  // single support must NOT kill it (the planner proves this rule unsafe
-  // and emits no remove chain — Chord's pingNode :- succ shape).
+  // single support must NOT kill it (the remove chain decrements the
+  // support count and deletes only at zero — Chord's pingNode :- succ
+  // shape).
   const std::string program =
       "materialize(a, infinity, 100, keys(2,3)).\n"
       "materialize(h, infinity, 100, keys(2)).\n"
