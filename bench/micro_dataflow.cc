@@ -47,7 +47,8 @@ void BM_ValueCopyShared(benchmark::State& state) {
 }
 BENCHMARK(BM_ValueCopyShared);
 
-// What ExtendElement/JoinElement do per tuple: copy the whole field vector.
+// What building an intermediate tuple costs per row: copy the whole field
+// vector (rule bodies now build only the head).
 void BM_TupleFieldsCopy(benchmark::State& state) {
   TuplePtr t = BenchTuple();
   for (auto _ : state) {
@@ -134,6 +135,9 @@ void BM_TableInsertReplace(benchmark::State& state) {
 }
 BENCHMARK(BM_TableInsertReplace);
 
+// A one-join rule body: event field 0 probes finger's column 0, every
+// match binds into the frame, and the head projects the event plus the
+// matched row (one five-field tuple per match).
 void BM_JoinProbe(benchmark::State& state) {
   SimEventLoop loop;
   Rng rng(1);
@@ -142,23 +146,34 @@ void BM_JoinProbe(benchmark::State& state) {
   TableSpec spec;
   spec.name = "finger";
   spec.key_positions = {1};
+  spec.arity = 4;
   Table table(spec, &loop);
   for (int i = 0; i < static_cast<int>(state.range(0)); ++i) {
     table.Insert(Tuple::Make(
         "finger", {Value::Addr("n0"), Value::Int(i),
                    Value::Id(Uint160::HashOf(std::to_string(i))), Value::Addr("nX")}));
   }
-  PelProgram key;
-  key.Emit(PelOp::kPushField, 0);
-  std::vector<JoinKey> keys;
-  keys.push_back(JoinKey{0, std::move(key)});
-  auto* join =
-      g.Add<JoinElement>("join", PelEnv{&loop, &rng, &addr}, &table, std::move(keys), "j");
+  BodyOp join;
+  join.kind = BodyOp::Kind::kJoin;
+  join.table = &table;
+  join.key_cols = {0};
+  join.keys.resize(1);
+  join.keys[0].Emit(PelOp::kPushField, 0);
+  join.slot = 1;
+  join.arity = 4;
+  std::vector<BodyOp> ops;
+  ops.push_back(std::move(join));
+  std::vector<PelProgram> head(5);
+  for (uint32_t i = 0; i < head.size(); ++i) {
+    head[i].Emit(PelOp::kPushField, i);
+  }
+  auto* body = g.Add<RuleBody>("body:join", PelEnv{&loop, &rng, &addr}, std::move(ops), 1, 5,
+                               "j", std::move(head));
   auto* sink = g.Add<DiscardElement>("sink");
-  g.Connect(join, 0, sink, 0);
+  g.Connect(body, 0, sink, 0);
   TuplePtr ev = Tuple::Make("ev", {Value::Addr("n0")});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(join->Push(0, ev, nullptr));
+    benchmark::DoNotOptimize(body->Push(0, ev, nullptr));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -312,6 +327,50 @@ void BM_CompiledRuleFire(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CompiledRuleFire);
+
+// Chord's L2 shape: one lookup event joins the node row and 160 finger
+// rows, computes D := K - B - 1 and a ring-range filter per finger, and
+// keeps the min<D> candidate. The body evaluates only the aggregate field
+// per candidate and builds a head only for a new minimum.
+void BM_RuleFireMinOverFingers(benchmark::State& state) {
+  SimEventLoop loop;
+  SimNetwork net(&loop, Topology(TopologyConfig{}), 1);
+  auto transport = net.MakeTransport("n0", 0);
+  P2NodeConfig nc;
+  nc.executor = &loop;
+  nc.transport = transport.get();
+  nc.seed = 1;
+  P2Node node(nc);
+  std::string err;
+  bool ok = node.Install(
+      "materialize(node, infinity, 1, keys(1)).\n"
+      "materialize(finger, infinity, 160, keys(2)).\n"
+      "L2 bestLookupDist@NI(NI,K,R,E,min<D>) :- node@NI(NI,N), lookup@NI(NI,K,R,E),\n"
+      "   finger@NI(NI,I,B,BI), D := K - B - 1, B in (N,K).\n",
+      &err);
+  if (!ok) {
+    state.SkipWithError(err.c_str());
+    return;
+  }
+  node.GetTable("node")->Insert(
+      Tuple::Make("node", {Value::Addr("n0"), Value::Id(Uint160::HashOf("n0"))}));
+  Table* finger = node.GetTable("finger");
+  for (int i = 0; i < 160; ++i) {
+    std::string at = "n" + std::to_string(i + 1);
+    finger->Insert(Tuple::Make("finger", {Value::Addr("n0"), Value::Int(i),
+                                          Value::Id(Uint160::HashOf(at)), Value::Addr(at)}));
+  }
+  node.Start();
+  loop.RunUntil(0.001);
+  TuplePtr ev = Tuple::Make("lookup", {Value::Addr("n0"), Value::Id(Uint160::HashOf("key")),
+                                       Value::Addr("n0"), Value::Int(1)});
+  for (auto _ : state) {
+    node.Inject(ev);
+    loop.RunUntil(loop.Now() + 0.001);  // drain the input queue through L2
+  }
+  state.SetItemsProcessed(state.iterations() * 160);
+}
+BENCHMARK(BM_RuleFireMinOverFingers);
 
 // --- Semi-naive delta paths ---
 

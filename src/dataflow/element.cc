@@ -64,6 +64,12 @@ int Element::PushOutMany(int out_port, const std::vector<TuplePtr>& ts, const Ca
   return ref.element->PushMany(ref.port, ts, cb);
 }
 
+void Element::CountOut() {
+  if (obs_out_ != nullptr) {
+    obs_out_->Inc();
+  }
+}
+
 TuplePtr Element::PullIn(int in_port, const Callback& cb) {
   if (static_cast<size_t>(in_port) >= inputs_.size() || inputs_[in_port].element == nullptr) {
     return nullptr;

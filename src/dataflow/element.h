@@ -80,6 +80,8 @@ class Element {
                   const Callback& cb = nullptr);
   // Pulls from the upstream bound to input `in_port`.
   TuplePtr PullIn(int in_port, const Callback& cb = nullptr);
+  // Counts an output handed downstream by a direct call instead of a push.
+  void CountOut();
 
   std::vector<PortRef> outputs_;
   std::vector<PortRef> inputs_;

@@ -21,11 +21,17 @@ void Graph::SetObs(obs::Registry* registry, size_t lane) {
 namespace {
 
 // Element names are "<kind>:<detail>" or "<kind>#<n>"; the kind prefix is
-// the metric label, so all joins (say) across all rules and nodes on a lane
-// share one series.
+// the metric label, so all rule bodies (say) across all rules and nodes on a
+// lane share one series.
 std::string KindOf(const std::string& name) {
   size_t end = name.find_first_of(":#");
   return end == std::string::npos ? name : name.substr(0, end);
+}
+
+// "<kind>:<label>" -> "<label>".
+std::string LabelOf(const std::string& name) {
+  size_t colon = name.find(':');
+  return colon == std::string::npos ? name : name.substr(colon + 1);
 }
 
 }  // namespace
@@ -42,17 +48,17 @@ void Graph::ObserveElement(Element* e) {
         obs_lane_, "p2_demux_unroutable_total{kind=\"" + kind + "\"}"));
   } else if (auto* r = dynamic_cast<RuleDriver*>(e)) {
     // "rule:<label>" where <label> is the planner's base+pred chain label.
-    std::string label = e->name();
-    size_t colon = label.find(':');
-    if (colon != std::string::npos) {
-      label = label.substr(colon + 1);
-    }
+    const std::string label = LabelOf(e->name());
     r->set_obs(obs_registry_->GetCounter(obs_lane_,
                                          "p2_rule_fires_total{rule=\"" + label + "\"}"),
                obs_registry_->GetHistogram(obs_lane_,
                                            "p2_rule_fire_ns{rule=\"" + label + "\"}"),
                obs_registry_->GetCounter(
                    obs_lane_, "p2_rule_malformed_total{rule=\"" + label + "\"}"));
+  } else if (auto* b = dynamic_cast<RuleBody*>(e)) {
+    // "body:<label>", the same label as the rule's driver.
+    b->set_obs_rows(obs_registry_->GetCounter(
+        obs_lane_, "p2_rule_rows_total{rule=\"" + LabelOf(e->name()) + "\"}"));
   }
 }
 

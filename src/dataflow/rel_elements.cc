@@ -48,126 +48,202 @@ Value AggFinal(AggKind kind, const Value& acc, int64_t count) {
   return acc;
 }
 
-// --- FilterElement ---
+// --- RuleBody ---
 
-int FilterElement::Push(int port, const TuplePtr& t, const Callback& cb) {
-  (void)port;
-  if (!vm_.EvalBool(program_, t.get())) {
-    return 1;
-  }
-  return PushOut(0, t, cb);
-}
+// Working storage of the rule-body activations running on one thread: a
+// stack of binding frames and a stack of join snapshots. A head pushed
+// downstream can re-enter a body synchronously, so activations nest on the
+// call stack and use both stacks strictly last-in first-out. An activation
+// addresses its part by offset, since a nested one may grow the storage.
+// Between events both stacks are empty: no value outlives its activation.
+struct RuleBody::Scratch {
+  std::vector<Value> frames;
+  std::vector<TuplePtr> matches;
+};
 
-// --- ExtendElement ---
+Value* RuleBody::Frame(const Activation& a) { return a.scratch->frames.data() + a.base; }
 
-int ExtendElement::Push(int port, const TuplePtr& t, const Callback& cb) {
-  (void)port;
-  Value v = vm_.Eval(program_, t.get());
-  std::vector<Value> fields = t->fields();
-  fields.push_back(std::move(v));
-  return PushOut(0, Tuple::Make(t->schema(), std::move(fields)), cb);
-}
-
-// --- ProjectElement ---
-
-int ProjectElement::Push(int port, const TuplePtr& t, const Callback& cb) {
-  (void)port;
-  std::vector<Value> fields;
-  fields.reserve(field_programs_.size());
-  for (const PelProgram& p : field_programs_) {
-    fields.push_back(vm_.Eval(p, t.get()));
-  }
-  return PushOut(0, Tuple::Make(out_schema_, std::move(fields)), cb);
-}
-
-// --- JoinElement ---
-
-JoinElement::JoinElement(std::string name, PelEnv env, Table* table, std::vector<JoinKey> keys,
-                         std::string out_name, TriggerRow trigger)
+RuleBody::RuleBody(std::string name, PelEnv env, std::vector<BodyOp> ops, size_t event_arity,
+                   size_t width, std::string head_name, std::vector<PelProgram> head)
     : Element(std::move(name)),
       vm_(env),
-      table_(table),
-      keys_(std::move(keys)),
-      out_schema_(InternSchema(out_name)),
-      trigger_(trigger) {
-  for (const JoinKey& k : keys_) {
-    k.expr.Lower();
-    key_cols_.push_back(k.table_col);
+      ops_(std::move(ops)),
+      event_arity_(event_arity),
+      width_(width),
+      head_schema_(InternSchema(head_name)),
+      head_(std::move(head)) {
+  P2_CHECK(event_arity_ <= width_);
+  // Compile every program to register form once, at plan time, and declare
+  // every probed index. Eval copies a bare variable's slot without the VM,
+  // so the VM's field bound check happens here instead.
+  auto lower = [this](const PelProgram& p) {
+    p.Lower();
+    P2_CHECK(p.LoneField() < static_cast<int>(width_));
+  };
+  for (const BodyOp& op : ops_) {
+    P2_CHECK(op.kind != BodyOp::Kind::kJoin || op.slot + op.arity <= width_);
+    P2_CHECK(op.kind != BodyOp::Kind::kAssign || op.slot < width_);
+    P2_CHECK(op.keys.size() == op.key_cols.size());
+    op.expr.Lower();
+    for (const PelProgram& k : op.keys) {
+      lower(k);
+    }
+    if (op.table != nullptr && !op.key_cols.empty()) {
+      op.table->AddIndex(op.key_cols);
+    }
   }
-  if (!key_cols_.empty()) {
-    table_->AddIndex(key_cols_);
+  for (const PelProgram& p : head_) {
+    lower(p);
+    head_volatile_ = head_volatile_ || p.Volatile();
   }
 }
 
-int JoinElement::Push(int port, const TuplePtr& t, const Callback& cb) {
+void RuleBody::set_agg(AggWrapElement* agg) {
+  if (!head_volatile_) {
+    lazy_agg_ = agg;
+    agg_position_ = agg->agg_position();
+    P2_CHECK(agg_position_ < head_.size());
+  }
+}
+
+int RuleBody::Push(int port, const TuplePtr& t, const Callback& cb) {
   (void)port;
-  std::vector<Value> key_vals;
-  key_vals.reserve(keys_.size());
-  for (const JoinKey& k : keys_) {
-    key_vals.push_back(vm_.Eval(k.expr, t.get()));
-  }
-  std::vector<TuplePtr> matches = key_cols_.empty()
-                                      ? table_->Scan()
-                                      : table_->LookupByCols(key_cols_, key_vals);
-  int signal = 1;
-  auto emit = [&](const std::vector<Value>& row) {
-    std::vector<Value> fields;
-    fields.reserve(t->size() + row.size());
-    fields.insert(fields.end(), t->fields().begin(), t->fields().end());
-    fields.insert(fields.end(), row.begin(), row.end());
-    signal &= PushOut(0, Tuple::Make(out_schema_, std::move(fields)), cb);
-  };
-  if (trigger_ == TriggerRow::kNone) {
-    for (const TuplePtr& row : matches) {
-      emit(row->fields());
+  // The rule driver in front drops events narrower than the event predicate.
+  P2_CHECK(t->size() >= event_arity_);
+  thread_local Scratch scratch;
+  std::vector<Value>& frames = scratch.frames;
+  Activation a{&scratch, frames.size()};
+  frames.resize(a.base + width_);
+  std::copy(t->fields().begin(), t->fields().begin() + static_cast<std::ptrdiff_t>(event_arity_),
+            frames.begin() + static_cast<std::ptrdiff_t>(a.base));
+  int signal = Run(0, &a, cb);
+  frames.resize(a.base);  // nested activations have already popped theirs
+  if (a.rows > 0) {
+    rows_ += a.rows;
+    if (obs_rows_ != nullptr) {
+      obs_rows_->Inc(a.rows);
     }
-    return signal;
-  }
-  size_t arity = std::min(t->size(), table_->spec().arity);
-  std::vector<Value> trigger(t->fields().begin(),
-                             t->fields().begin() + static_cast<std::ptrdiff_t>(arity));
-  for (const TuplePtr& row : matches) {
-    if (!(row->fields() == trigger)) {
-      emit(row->fields());
-    }
-  }
-  bool trigger_matches = trigger_ == TriggerRow::kInclude;
-  for (size_t i = 0; i < key_cols_.size() && trigger_matches; ++i) {
-    trigger_matches = key_cols_[i] < trigger.size() && trigger[key_cols_[i]] == key_vals[i];
-  }
-  if (trigger_matches) {
-    emit(trigger);
   }
   return signal;
 }
 
-// --- AntiJoinElement ---
-
-AntiJoinElement::AntiJoinElement(std::string name, PelEnv env, Table* table,
-                                 std::vector<JoinKey> keys)
-    : Element(std::move(name)), vm_(env), table_(table), keys_(std::move(keys)) {
-  for (const JoinKey& k : keys_) {
-    k.expr.Lower();
-    key_cols_.push_back(k.table_col);
+int RuleBody::Run(size_t op, Activation* a, const Callback& cb) {
+  for (; op < ops_.size(); ++op) {
+    const BodyOp& o = ops_[op];
+    Value* frame = Frame(*a);
+    switch (o.kind) {
+      case BodyOp::Kind::kJoin:
+        return Join(op, a, cb);
+      case BodyOp::Kind::kAntiJoin: {
+        bool any;
+        if (o.key_cols.empty()) {
+          any = o.table->size() > 0;
+        } else {
+          std::vector<TuplePtr>& matches = a->scratch->matches;
+          size_t begin = matches.size();
+          o.table->LookupByCols(o.key_cols, EvalKeys(o, frame), &matches);
+          any = matches.size() > begin;
+          matches.resize(begin);
+        }
+        if (any) {
+          return 1;
+        }
+        break;
+      }
+      case BodyOp::Kind::kAssign:
+        frame[o.slot] = vm_.Eval(o.expr, frame, width_);
+        break;
+      case BodyOp::Kind::kFilter:
+        if (!vm_.EvalBool(o.expr, frame, width_)) {
+          return 1;
+        }
+        break;
+    }
   }
-  if (!key_cols_.empty()) {
-    table_->AddIndex(key_cols_);
-  }
+  return EmitHead(Frame(*a), cb);
 }
 
-int AntiJoinElement::Push(int port, const TuplePtr& t, const Callback& cb) {
-  (void)port;
-  std::vector<Value> key_vals;
-  key_vals.reserve(keys_.size());
-  for (const JoinKey& k : keys_) {
-    key_vals.push_back(vm_.Eval(k.expr, t.get()));
+std::vector<Value> RuleBody::EvalKeys(const BodyOp& op, const Value* frame) {
+  std::vector<Value> keys;
+  keys.reserve(op.keys.size());
+  for (const PelProgram& k : op.keys) {
+    keys.push_back(Eval(k, frame));
   }
-  bool any = key_cols_.empty() ? table_->size() > 0
-                               : !table_->LookupByCols(key_cols_, key_vals).empty();
-  if (any) {
+  return keys;
+}
+
+int RuleBody::Join(size_t op, Activation* a, const Callback& cb) {
+  const BodyOp& o = ops_[op];
+  const size_t arity = o.arity;
+  // Snapshot the matches on top of the shared stack. A lookup can re-enter
+  // bodies (expiry purges notify listeners), which push and pop above it.
+  std::vector<TuplePtr>& matches = a->scratch->matches;
+  const size_t begin = matches.size();
+  std::vector<Value> keys;
+  if (o.key_cols.empty()) {
+    for (TuplePtr& row : o.table->Scan()) {
+      matches.push_back(std::move(row));
+    }
+  } else {
+    keys = EvalKeys(o, Frame(*a));
+    o.table->LookupByCols(o.key_cols, keys, &matches);
+  }
+  const size_t end = matches.size();
+  // A self-join's trigger row sits in the frame's leading slots (the event
+  // is a row of this table).
+  const bool self_join = o.trigger != BodyOp::TriggerRow::kNone;
+  bool include_trigger = o.trigger == BodyOp::TriggerRow::kInclude;
+  const Value* frame = Frame(*a);
+  for (size_t i = 0; i < o.key_cols.size() && include_trigger; ++i) {
+    include_trigger = o.key_cols[i] < arity && frame[o.key_cols[i]] == keys[i];
+  }
+  int signal = 1;
+  for (size_t i = begin; i < end; ++i) {
+    // The snapshot keeps the row alive while nested activations grow the
+    // stack above it; the pointer stays valid, the vector slot may move.
+    const Tuple* row = matches[i].get();
+    Value* f = Frame(*a);
+    if (row->size() != arity ||
+        (self_join && std::equal(f, f + arity, row->fields().begin()))) {
+      continue;
+    }
+    std::copy(row->fields().begin(), row->fields().end(), f + o.slot);
+    ++a->rows;
+    signal &= Run(op + 1, a, cb);
+  }
+  matches.resize(begin);
+  if (include_trigger) {
+    Value* f = Frame(*a);
+    std::copy(f, f + arity, f + o.slot);
+    ++a->rows;
+    signal &= Run(op + 1, a, cb);
+  }
+  return signal;
+}
+
+int RuleBody::EmitHead(const Value* frame, const Callback& cb) {
+  if (lazy_agg_ != nullptr) {
+    Value v = Eval(head_[agg_position_], frame);
+    if (lazy_agg_->Offer(v)) {
+      CountOut();
+      lazy_agg_->Represent(BuildHead(frame, &v));
+    }
     return 1;
   }
-  return PushOut(0, t, cb);
+  return PushOut(0, BuildHead(frame, nullptr), cb);
+}
+
+TuplePtr RuleBody::BuildHead(const Value* frame, const Value* agg_value) {
+  std::vector<Value> fields;
+  fields.reserve(head_.size());
+  for (size_t i = 0; i < head_.size(); ++i) {
+    if (agg_value != nullptr && i == agg_position_) {
+      fields.push_back(*agg_value);
+    } else {
+      fields.push_back(Eval(head_[i], frame));
+    }
+  }
+  return Tuple::Make(head_schema_, std::move(fields));
 }
 
 // --- InsertElement / DeleteElement ---
@@ -205,7 +281,10 @@ int SupportCountElement::Push(int port, const TuplePtr& t, const Callback& cb) {
 int CountedRetractElement::Push(int port, const TuplePtr& t, const Callback& cb) {
   (void)port;
   (void)cb;
-  counts_->Dec(*t, retracting_);
+  if (t->size() > 0 && t->field(0).type() == ValueType::kAddr &&
+      t->field(0).AsAddr() == local_addr_) {
+    counts_->Dec(*t, retracting_);
+  }
   return 1;
 }
 
@@ -262,32 +341,34 @@ int AggWrapElement::Push(int port, const TuplePtr& t, const Callback& cb) {
   (void)port;
   (void)cb;
   P2_CHECK(agg_position_ < t->size());
-  const Value& input = t->field(agg_position_);
-  if (best_ == nullptr) {
-    best_ = t;
-    acc_ = AggInit(kind_, input);
-    count_ = 1;
-    return 1;
+  if (Offer(t->field(agg_position_))) {
+    Represent(t);
   }
+  return 1;
+}
+
+bool AggWrapElement::Offer(const Value& v) {
+  if (best_ == nullptr) {
+    acc_ = AggInit(kind_, v);
+    count_ = 1;
+    return true;
+  }
+  bool wins = false;
   switch (kind_) {
     case AggKind::kMin:
-      if (Value::Compare(input, best_->field(agg_position_)) < 0) {
-        best_ = t;
-      }
+      wins = Value::Compare(v, best_->field(agg_position_)) < 0;
       break;
     case AggKind::kMax:
-      if (Value::Compare(input, best_->field(agg_position_)) > 0) {
-        best_ = t;
-      }
+      wins = Value::Compare(v, best_->field(agg_position_)) > 0;
       break;
     case AggKind::kCount:
     case AggKind::kSum:
     case AggKind::kAvg:
-      acc_ = AggStep(kind_, acc_, input, count_);
+      acc_ = AggStep(kind_, acc_, v, count_);
       break;
   }
   ++count_;
-  return 1;
+  return wins;
 }
 
 void AggWrapElement::Flush() {

@@ -1,7 +1,8 @@
-// Relational dataflow elements (§3.4): selections, projections, stream ×
-// table equijoins, aggregation, table insert/delete bridges, and duplicate
-// elimination. These are the operators the planner assembles rule chains
-// from; most are parameterized by PEL programs.
+// Relational dataflow elements (§3.4): rule bodies (stream × table
+// equijoins, anti-joins, selections, assignments and the head projection,
+// fused into one operator), aggregation, table insert/delete bridges, and
+// duplicate elimination. These are the operators the planner assembles
+// rule chains from; most are parameterized by PEL programs.
 #ifndef P2_DATAFLOW_REL_ELEMENTS_H_
 #define P2_DATAFLOW_REL_ELEMENTS_H_
 
@@ -20,72 +21,22 @@
 
 namespace p2 {
 
-// Drops tuples for which the PEL predicate evaluates false.
-class FilterElement : public Element {
- public:
-  FilterElement(std::string name, PelEnv env, PelProgram program)
-      : Element(std::move(name)), vm_(env), program_(std::move(program)) {
-    program_.Lower();  // compile to register form once, at plan time
-  }
-  int Push(int port, const TuplePtr& t, const Callback& cb) override;
+class AggWrapElement;
 
- private:
-  PelVm vm_;
-  PelProgram program_;
-};
-
-// Appends the PEL program's result as a new trailing field (implements
-// OverLog assignments, e.g. "D := S - N - 1").
-class ExtendElement : public Element {
- public:
-  ExtendElement(std::string name, PelEnv env, PelProgram program)
-      : Element(std::move(name)), vm_(env), program_(std::move(program)) {
-    program_.Lower();
-  }
-  int Push(int port, const TuplePtr& t, const Callback& cb) override;
-
- private:
-  PelVm vm_;
-  PelProgram program_;
-};
-
-// Builds the output tuple from one PEL program per field.
-class ProjectElement : public Element {
- public:
-  ProjectElement(std::string name, PelEnv env, std::string out_name,
-                 std::vector<PelProgram> field_programs)
-      : Element(std::move(name)),
-        vm_(env),
-        out_schema_(InternSchema(out_name)),
-        field_programs_(std::move(field_programs)) {
-    for (const PelProgram& p : field_programs_) {
-      p.Lower();
-    }
-  }
-  int Push(int port, const TuplePtr& t, const Callback& cb) override;
-
- private:
-  PelVm vm_;
-  SchemaId out_schema_;  // interned once; tuple construction skips the string
-  std::vector<PelProgram> field_programs_;
-};
-
-// One equality constraint of a join: table column `table_col` must equal
-// the value computed from the incoming tuple by `expr`.
-struct JoinKey {
-  size_t table_col;
-  PelProgram expr;
-};
-
-// Stream × table equijoin (§2.5): for each tuple pushed in, finds all rows
-// of `table` matching the key constraints (via a secondary index installed
-// at plan time) and pushes one concatenated tuple (input fields then table
-// fields) per match.
-class JoinElement : public Element {
- public:
+// One step of a rule body (see RuleBody). Steps read and write the body's
+// binding frame: the event's fields, then each join's table row, then each
+// assignment's value, at the slots the planner's variable environment gave
+// them.
+struct BodyOp {
+  enum class Kind {
+    kJoin,      // for each matching row of `table`: bind it at `slot`, run the rest
+    kAntiJoin,  // stop unless `table` holds no matching row (OverLog "not")
+    kAssign,    // frame[slot] = expr (OverLog assignment, e.g. "D := S - N - 1")
+    kFilter,    // stop unless expr is true (selection)
+  };
   // How a delta chain's self-join treats the table row that triggered the
-  // chain, which every tuple carries in its leading fields. The planner
-  // sets a mode only on joins against the trigger's own table, so that a
+  // chain, which the frame holds in its leading slots. The planner sets a
+  // mode only on joins against the trigger's own table, so that a
   // derivation using the row at several body positions is counted once.
   enum class TriggerRow {
     kNone,
@@ -93,31 +44,92 @@ class JoinElement : public Element {
     kInclude,  // also match it: a later occurrence, post-removal state
   };
 
-  JoinElement(std::string name, PelEnv env, Table* table, std::vector<JoinKey> keys,
-              std::string out_name, TriggerRow trigger = TriggerRow::kNone);
-  int Push(int port, const TuplePtr& t, const Callback& cb) override;
-
- private:
-  PelVm vm_;
-  Table* table_;
-  std::vector<JoinKey> keys_;
-  std::vector<size_t> key_cols_;
-  SchemaId out_schema_;
-  TriggerRow trigger_;
+  Kind kind = Kind::kFilter;
+  // Joins and anti-joins: the probed table, its key columns, and one
+  // program per key column computing the value that column must equal.
+  // No key columns means a full scan.
+  Table* table = nullptr;
+  std::vector<size_t> key_cols;
+  std::vector<PelProgram> keys;
+  TriggerRow trigger = TriggerRow::kNone;
+  // kJoin: the frame slot of the row's first field, and the row's arity
+  // (rows of any other width never match); kAssign: the slot set.
+  size_t slot = 0;
+  size_t arity = 0;
+  // kAssign and kFilter.
+  PelProgram expr;
 };
 
-// Anti-join (OverLog "not"): passes the input through unchanged iff the
-// table holds NO matching row.
-class AntiJoinElement : public Element {
+// A rule's body and head as one operator: the join / select / project
+// chain of §3.4, fused. For each event pushed in, it runs `ops` as nested
+// loops over one binding frame of `width` slots (the event's first
+// `event_arity` fields come first) and builds a tuple only for the
+// projected head, which it pushes out of port 0.
+//
+// Evaluation order is the unfused chain's, depth first: a join evaluates
+// its keys, takes a snapshot of its matches (Table::LookupByCols copies),
+// then runs the rest of the body once per match, so every head is pushed
+// before the next match is bound. A head pushed downstream can insert into
+// a table and re-enter this body synchronously; each activation therefore
+// gets its own frame.
+class RuleBody : public Element {
  public:
-  AntiJoinElement(std::string name, PelEnv env, Table* table, std::vector<JoinKey> keys);
+  RuleBody(std::string name, PelEnv env, std::vector<BodyOp> ops, size_t event_arity,
+           size_t width, std::string head_name, std::vector<PelProgram> head);
+
   int Push(int port, const TuplePtr& t, const Callback& cb) override;
 
+  // Feeds the candidates of a per-event aggregate to `agg` (also wired to
+  // port 0). When no head program reads randomness or the clock, a
+  // candidate's head is built only if `agg` takes it as its new
+  // representative; the body then evaluates just the aggregate field per
+  // candidate. A volatile head is built and pushed for every candidate, so
+  // the node's Rng advances as it would without the shortcut.
+  void set_agg(AggWrapElement* agg);
+
+  // Join matches bound into the frame (all activations).
+  uint64_t rows() const { return rows_; }
+  // Per-rule work counter (Graph::ObserveElement); nullable. Bumped once
+  // per activation.
+  void set_obs_rows(obs::Counter* rows) { obs_rows_ = rows; }
+
  private:
+  // The frame and snapshot stacks of the activations on one thread.
+  struct Scratch;
+  struct Activation {
+    Scratch* scratch;
+    size_t base;  // offset of the frame in scratch->frames
+    uint64_t rows = 0;
+  };
+
+  // The activation's frame. Re-read after any call that can re-enter a
+  // body (a table lookup or a push): the frames stack may have moved.
+  static Value* Frame(const Activation& a);
+  // Runs ops [op, end) and the head over `a`'s frame.
+  int Run(size_t op, Activation* a, const Callback& cb);
+  int Join(size_t op, Activation* a, const Callback& cb);
+  std::vector<Value> EvalKeys(const BodyOp& op, const Value* frame);
+  int EmitHead(const Value* frame, const Callback& cb);
+  // Evaluates `prog` over `frame`; a bare variable is copied from its slot
+  // without the VM.
+  Value Eval(const PelProgram& prog, const Value* frame) {
+    int lone = prog.LoneField();
+    return lone >= 0 ? frame[lone] : vm_.Eval(prog, frame, width_);
+  }
+  // `agg_value`, when set, is the aggregate field's already computed value.
+  TuplePtr BuildHead(const Value* frame, const Value* agg_value);
+
   PelVm vm_;
-  Table* table_;
-  std::vector<JoinKey> keys_;
-  std::vector<size_t> key_cols_;
+  std::vector<BodyOp> ops_;
+  size_t event_arity_;
+  size_t width_;
+  SchemaId head_schema_;  // interned once; tuple construction skips the string
+  std::vector<PelProgram> head_;
+  bool head_volatile_ = false;
+  AggWrapElement* lazy_agg_ = nullptr;
+  size_t agg_position_ = 0;
+  uint64_t rows_ = 0;
+  obs::Counter* obs_rows_ = nullptr;
 };
 
 // Inserts pushed tuples into a table. When the table content changes, the
@@ -179,11 +191,13 @@ class SupportCountElement : public Element {
 // chain. Decrements the support count of the re-derived head tuple;
 // deletes the head row when the count reaches zero — unless `retracting`
 // is false (the support merely expired), in which case the count drops but
-// the row is left to age out by its own TTL.
+// the row is left to age out by its own TTL. Only locally addressed heads
+// are retracted: a remote head ages out by soft-state expiry (there is no
+// wire delete), matching SupportCountElement, which counts only local ones.
 class CountedRetractElement : public Element {
  public:
-  CountedRetractElement(std::string name, SupportCounts* counts)
-      : Element(std::move(name)), counts_(counts) {}
+  CountedRetractElement(std::string name, SupportCounts* counts, std::string local_addr)
+      : Element(std::move(name)), counts_(counts), local_addr_(std::move(local_addr)) {}
   int Push(int port, const TuplePtr& t, const Callback& cb) override;
 
   void set_retracting(bool on) { retracting_ = on; }
@@ -191,6 +205,7 @@ class CountedRetractElement : public Element {
 
  private:
   SupportCounts* counts_;
+  std::string local_addr_;
   bool retracting_ = true;
 };
 
@@ -235,6 +250,17 @@ class AggWrapElement : public Element {
   void Begin(const TuplePtr& event);
   int Push(int port, const TuplePtr& t, const Callback& cb) override;
   void Flush();
+
+  // The two halves of Push, for a caller that builds a candidate's tuple
+  // only when it is needed: Offer takes the candidate's aggregate value and
+  // returns true when the candidate becomes the representative (the first
+  // candidate, or a strictly better min/max: ties keep the earlier one).
+  // The caller must then hand that candidate's tuple to Represent before
+  // offering another.
+  bool Offer(const Value& v);
+  void Represent(TuplePtr candidate) { best_ = std::move(candidate); }
+
+  size_t agg_position() const { return agg_position_; }
 
  private:
   PelVm vm_;

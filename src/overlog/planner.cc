@@ -308,12 +308,18 @@ class PlanBuilder {
 
   // --- Rule planning ---
 
+  // A chain under construction. Body terms lower to `ops` over a binding
+  // frame of `width` slots; FinishChainTail turns them into one RuleBody
+  // element and appends the terminal elements after it.
   struct Chain {
     RuleDriver* driver = nullptr;
     Element* tail = nullptr;
     // Output port of `tail` the next element attaches to. Almost always 0;
     // a variant switch fans one branch out of each of its ports.
     int tail_port = 0;
+    std::vector<BodyOp> ops;
+    size_t event_arity = 0;
+    size_t width = 0;
   };
 
   void Append(Chain* chain, Element* el) {
@@ -340,6 +346,13 @@ class PlanBuilder {
     return CompileExpr(expr, env, prog, err);
   }
 
+  static void AppendFilterOp(Chain* chain, PelProgram prog) {
+    BodyOp op;
+    op.kind = BodyOp::Kind::kFilter;
+    op.expr = std::move(prog);
+    chain->ops.push_back(std::move(op));
+  }
+
   // Emits an equality filter: field `pos` == expr(env).
   bool AppendEqFilter(Chain* chain, size_t pos, const Expr& expr, const VarEnv& env,
                       std::string* err) {
@@ -349,7 +362,7 @@ class PlanBuilder {
       return false;
     }
     prog.Emit(PelOp::kEq);
-    Append(chain, graph_.Add<FilterElement>(Gensym("eqfilter"), MakePelEnv(), std::move(prog)));
+    AppendFilterOp(chain, std::move(prog));
     return true;
   }
 
@@ -413,16 +426,16 @@ class PlanBuilder {
     return true;
   }
 
-  // Appends a join (or anti-join) against a table predicate. `width` is the
-  // current intermediate tuple width and is updated.
-  bool AppendTableTerm(const PredicateAst& pred, Chain* chain, VarEnv* env, size_t* width,
-                       std::string* err) {
+  // Appends a join (or anti-join) against a table predicate. A join binds
+  // the table row at the chain's current width, which grows by its arity.
+  bool AppendTableTerm(const PredicateAst& pred, Chain* chain, VarEnv* env, std::string* err) {
     Table* table = FindTable(pred.name);
     if (table == nullptr) {
       *err = "predicate '" + pred.name + "' joins a non-materialized relation";
       return false;
     }
-    std::vector<JoinKey> keys;
+    BodyOp op;
+    op.table = table;
     struct Pending {
       std::string var;
       size_t col;
@@ -439,7 +452,8 @@ class PlanBuilder {
         if (env->count(a.name) > 0) {
           PelProgram prog;
           prog.Emit(PelOp::kPushField, static_cast<uint32_t>((*env)[a.name]));
-          keys.push_back(JoinKey{c, std::move(prog)});
+          op.key_cols.push_back(c);
+          op.keys.push_back(std::move(prog));
         } else if (local_new.count(a.name) > 0) {
           dup_checks.emplace_back(c, local_new[a.name]);
         } else {
@@ -452,38 +466,38 @@ class PlanBuilder {
         if (!Compile(a, *env, &prog, err)) {
           return false;
         }
-        keys.push_back(JoinKey{c, std::move(prog)});
+        op.key_cols.push_back(c);
+        op.keys.push_back(std::move(prog));
       }
     }
-    std::vector<size_t> key_cols;
-    key_cols.reserve(keys.size());
-    for (const JoinKey& k : keys) {
-      key_cols.push_back(k.table_col);
-    }
+    const std::vector<size_t>& key_cols = op.key_cols;
     double est_static = table->EstimateFanoutStatic(key_cols);
     double est_live = table->EstimateFanout(key_cols);
+    if (!key_cols.empty()) {
+      // The body declares it too; declaring it now lets the replan probe
+      // below resolve its handle.
+      table->AddIndex(key_cols);
+    }
     if (pred.negated) {
       if (!new_binds.empty()) {
         *err = "negated predicate '" + pred.name + "' binds new variables";
         return false;
       }
       explain_ += pad_ + "antijoin " + pred.name + " on " + ColsToString(key_cols) + "\n";
-      Append(chain, graph_.Add<AntiJoinElement>(Gensym("antijoin:" + pred.name), MakePelEnv(),
-                                                table, std::move(keys)));
+      op.kind = BodyOp::Kind::kAntiJoin;
+      chain->ops.push_back(std::move(op));
       return true;  // width unchanged
     }
-    JoinElement::TriggerRow trigger = TriggerRowFor(pred);
+    op.trigger = TriggerRowFor(pred);
     explain_ += pad_ + "join " + pred.name + " on " + ColsToString(key_cols) +
                 " est=" + EstToString(est_static) + " live=" + EstToString(est_live) +
-                (trigger == JoinElement::TriggerRow::kExclude   ? " -trigger"
-                 : trigger == JoinElement::TriggerRow::kInclude ? " +trigger"
-                                                                : "") +
+                (op.trigger == BodyOp::TriggerRow::kExclude   ? " -trigger"
+                 : op.trigger == BodyOp::TriggerRow::kInclude ? " +trigger"
+                                                              : "") +
                 "\n";
-    Append(chain, graph_.Add<JoinElement>(Gensym("join:" + pred.name), MakePelEnv(), table,
-                                          std::move(keys), "j", trigger));
     if (probe_sink_ != nullptr) {
-      // The JoinElement just declared its index, so the handle resolves now
-      // and stays valid (indices are append-only).
+      // The index was declared above, so the handle resolves now and stays
+      // valid (indices are append-only).
       probe_sink_->probes.push_back(ReplanProbe{table, table->IndexHandle(key_cols),
                                                 table->PrimaryKeyCovered(key_cols),
                                                 est_static});
@@ -492,25 +506,27 @@ class PlanBuilder {
       }
       probe_sink_->order += pred.name;
     }
-    size_t base = *width;
+    size_t base = chain->width;
     for (const Pending& nb : new_binds) {
       (*env)[nb.var] = base + nb.col;
     }
-    *width = base + pred.args.size();
+    chain->width = base + pred.args.size();
+    op.kind = BodyOp::Kind::kJoin;
+    op.slot = base;
+    op.arity = pred.args.size();
+    chain->ops.push_back(std::move(op));
     // Repeated fresh variables inside the same predicate: post-join check.
     for (const auto& [col, first_col] : dup_checks) {
       PelProgram prog;
       prog.Emit(PelOp::kPushField, static_cast<uint32_t>(base + col));
       prog.Emit(PelOp::kPushField, static_cast<uint32_t>(base + first_col));
       prog.Emit(PelOp::kEq);
-      Append(chain,
-             graph_.Add<FilterElement>(Gensym("dupfilter"), MakePelEnv(), std::move(prog)));
+      AppendFilterOp(chain, std::move(prog));
     }
     return true;
   }
 
-  bool AppendAssign(const AssignAst& assign, Chain* chain, VarEnv* env, size_t* width,
-                    std::string* err) {
+  bool AppendAssign(const AssignAst& assign, Chain* chain, VarEnv* env, std::string* err) {
     if (env->count(assign.var) > 0) {
       *err = "assignment to already-bound variable '" + assign.var + "'";
       return false;
@@ -520,10 +536,13 @@ class PlanBuilder {
       return false;
     }
     explain_ += pad_ + "assign " + assign.var + "\n";
-    Append(chain, graph_.Add<ExtendElement>(Gensym("assign:" + assign.var), MakePelEnv(),
-                                            std::move(prog)));
-    (*env)[assign.var] = *width;
-    *width += 1;
+    BodyOp op;
+    op.kind = BodyOp::Kind::kAssign;
+    op.slot = chain->width;
+    op.expr = std::move(prog);
+    chain->ops.push_back(std::move(op));
+    (*env)[assign.var] = chain->width;
+    chain->width += 1;
     return true;
   }
 
@@ -533,7 +552,7 @@ class PlanBuilder {
       return false;
     }
     explain_ += pad_ + "filter\n";
-    Append(chain, graph_.Add<FilterElement>(Gensym("filter"), MakePelEnv(), std::move(prog)));
+    AppendFilterOp(chain, std::move(prog));
     return true;
   }
 
@@ -755,9 +774,12 @@ class PlanBuilder {
     auto* driver = graph_.Add<RuleDriver>("rule:" + label, nullptr);
     driver->set_min_arity(event.args.size());
     node_->rule_drivers_.emplace_back(label, driver);
-    Chain chain{driver, driver};
+    Chain chain;
+    chain.driver = driver;
+    chain.tail = driver;
+    chain.event_arity = event.args.size();
+    chain.width = event.args.size();
     VarEnv env;
-    size_t width = event.args.size();
     if (!BindEvent(event, &chain, &env, err, /*skip_constant_checks=*/is_periodic)) {
       return false;
     }
@@ -786,12 +808,11 @@ class PlanBuilder {
     // per distinct candidate order behind a switch; otherwise the single
     // greedy chain is built inline.
     if (replan_ && cost_order && !agg.present && positive_joins >= 2) {
-      if (!BuildOrderVariants(rule, agg, trig, label, counted, remaining, &chain, env, width,
-                              err)) {
+      if (!BuildOrderVariants(rule, agg, trig, label, counted, remaining, &chain, env, err)) {
         return false;
       }
     } else {
-      if (!LowerBody(rule, remaining, cost_order, nullptr, &chain, &env, &width, err)) {
+      if (!LowerBody(rule, remaining, cost_order, nullptr, &chain, &env, err)) {
         return false;
       }
       if (!FinishChainTail(rule, agg, &event, trig, label, counted, &chain, env, err)) {
@@ -806,11 +827,12 @@ class PlanBuilder {
   // Lowers every distinct candidate join order as its own fully built body
   // chain off one VariantSwitchElement, recording per-variant probe
   // sequences for the replan loop. Branch 0 is the greedy static order and
-  // starts active.
+  // starts active. Every branch's body starts with the ops lowered so far
+  // (the event's equality filters).
   bool BuildOrderVariants(const RuleAst& rule, const AggInfo& agg, TriggerKind trig,
                           const std::string& label, bool counted,
                           const std::vector<const BodyTerm*>& remaining, Chain* chain,
-                          const VarEnv& env, size_t width, std::string* err) {
+                          const VarEnv& env, std::string* err) {
     // Candidate orders: greedy, plus greedy-with-forced-first for every
     // other join that could legally run first. Deduplicate by the positive
     // join sequence; cap at kMaxOrderVariants fully lowered branches.
@@ -846,8 +868,7 @@ class PlanBuilder {
       // No real alternative: build the single greedy chain inline.
       Chain single = *chain;
       VarEnv benv = env;
-      size_t bwidth = width;
-      if (!LowerBody(rule, remaining, /*by_cost=*/true, nullptr, &single, &benv, &bwidth, err)) {
+      if (!LowerBody(rule, remaining, /*by_cost=*/true, nullptr, &single, &benv, err)) {
         return false;
       }
       return FinishChainTail(rule, agg, nullptr, trig, label, counted, &single, benv, err);
@@ -858,17 +879,16 @@ class PlanBuilder {
     entry.label = label;
     entry.sw = sw;
     for (size_t k = 0; k < forces.size(); ++k) {
-      Chain branch{chain->driver, sw, static_cast<int>(k)};
+      Chain branch = *chain;
+      branch.tail_port = static_cast<int>(k);
       VarEnv benv = env;
-      size_t bwidth = width;
       if (k > 0) {
         explain_ += "    alt-plan " + std::to_string(k) + ":\n";
         pad_ = "      ";
       }
       ReplanVariant variant;
       probe_sink_ = &variant;
-      bool ok = LowerBody(rule, remaining, /*by_cost=*/true, forces[k], &branch, &benv, &bwidth,
-                          err) &&
+      bool ok = LowerBody(rule, remaining, /*by_cost=*/true, forces[k], &branch, &benv, err) &&
                 FinishChainTail(rule, agg, nullptr, trig, label, counted, &branch, benv, err);
       probe_sink_ = nullptr;
       pad_ = "    ";
@@ -897,9 +917,10 @@ class PlanBuilder {
     });
   }
 
-  // Steps 3 + 4 of rule planning: head projection (+ aggregation bracket),
-  // watch tap, head routing / retraction. Run once per body chain (so each
-  // order variant carries its own tail).
+  // Steps 3 + 4 of rule planning: the rule body (the lowered ops plus the
+  // head projection) as one element, then the aggregation bracket, watch
+  // tap, head routing / retraction. Run once per body chain (so each order
+  // variant carries its own body and tail).
   bool FinishChainTail(const RuleAst& rule, const AggInfo& agg, const PredicateAst* event,
                        TriggerKind trig, const std::string& label, bool counted, Chain* chain,
                        const VarEnv& env, std::string* err) {
@@ -924,8 +945,10 @@ class PlanBuilder {
       }
       head_programs.push_back(std::move(prog));
     }
-    Append(chain, graph_.Add<ProjectElement>(Gensym("project:" + rule.head.name), MakePelEnv(),
-                                             rule.head.name, std::move(head_programs)));
+    auto* body = graph_.Add<RuleBody>("body:" + label, MakePelEnv(), std::move(chain->ops),
+                                      chain->event_arity, chain->width, rule.head.name,
+                                      std::move(head_programs));
+    Append(chain, body);
 
     if (agg.present) {
       P2_CHECK(event != nullptr);  // agg rules never build order variants
@@ -961,6 +984,7 @@ class PlanBuilder {
                                                  rule.head.name, emit_empty,
                                                  std::move(empty_programs));
       Append(chain, aggwrap);
+      body->set_agg(aggwrap);
       chain->driver->set_agg(aggwrap);
     }
 
@@ -973,16 +997,10 @@ class PlanBuilder {
     if (trig == TriggerKind::kDeltaRemove) {
       Table* head_table = FindTable(rule.head.name);
       P2_CHECK(head_table != nullptr);  // caller builds remove variants only then
-      // Retraction only un-derives rows stored on this node; a remote head
-      // ages out by soft-state expiry as before (there is no wire delete).
-      PelProgram prog;
-      prog.Emit(PelOp::kPushField, 0);
-      prog.Emit(PelOp::kPushConst, prog.AddConst(Value::Addr(node_->addr_)));
-      prog.Emit(PelOp::kEq);
-      Append(chain,
-             graph_.Add<FilterElement>(Gensym("localguard"), MakePelEnv(), std::move(prog)));
+      // Retraction only un-derives rows stored on this node (the retractor
+      // skips remote heads).
       auto* retractor = graph_.Add<CountedRetractElement>(
-          Gensym("countretract:" + rule.head.name), GetSupportCounts(head_table));
+          Gensym("countretract:" + rule.head.name), GetSupportCounts(head_table), node_->addr_);
       Append(chain, retractor);
       retractors_current_.push_back(retractor);
       explain_ += pad_ + "project " + rule.head.name + " -> retract-count (local)\n";
@@ -1208,11 +1226,10 @@ class PlanBuilder {
 
   // Lowers the remaining body terms onto `chain` in WalkBody order.
   bool LowerBody(const RuleAst& rule, const std::vector<const BodyTerm*>& terms, bool by_cost,
-                 const PredicateAst* force_first, Chain* chain, VarEnv* env, size_t* width,
-                 std::string* err) {
+                 const PredicateAst* force_first, Chain* chain, VarEnv* env, std::string* err) {
     bool applied = true;
     if (WalkBody(terms, env, by_cost, force_first, [&](const BodyTerm& term) {
-          return applied = ApplyTerm(term, chain, env, width, err);
+          return applied = ApplyTerm(term, chain, env, err);
         })) {
       return true;
     }
@@ -1222,36 +1239,34 @@ class PlanBuilder {
     return false;
   }
 
-  bool ApplyTerm(const BodyTerm& term, Chain* chain, VarEnv* env, size_t* width,
-                 std::string* err) {
+  bool ApplyTerm(const BodyTerm& term, Chain* chain, VarEnv* env, std::string* err) {
     if (std::holds_alternative<PredicateAst>(term)) {
-      return AppendTableTerm(std::get<PredicateAst>(term), chain, env, width, err);
+      return AppendTableTerm(std::get<PredicateAst>(term), chain, env, err);
     }
     if (std::holds_alternative<AssignAst>(term)) {
-      return AppendAssign(std::get<AssignAst>(term), chain, env, width, err);
+      return AppendAssign(std::get<AssignAst>(term), chain, env, err);
     }
     return AppendFilter(std::get<ExprPtr>(term), chain, *env, err);
   }
 
   // How a join of the current delta variant treats its trigger row (see
-  // JoinElement::TriggerRow). Only self-joins need care: each derivation is
+  // BodyOp::TriggerRow). Only self-joins need care: each derivation is
   // credited to the FIRST body position holding the trigger row. After an
   // insert the table already holds it, so earlier positions skip it; after
   // a removal it is gone, so later positions must still match it.
-  JoinElement::TriggerRow TriggerRowFor(const PredicateAst& pred) const {
+  BodyOp::TriggerRow TriggerRowFor(const PredicateAst& pred) const {
     if (trigger_idx_ < 0 ||
         pred.name != std::get<PredicateAst>(trigger_rule_->body[trigger_idx_]).name) {
-      return JoinElement::TriggerRow::kNone;
+      return BodyOp::TriggerRow::kNone;
     }
     int idx = 0;
     while (std::get_if<PredicateAst>(&trigger_rule_->body[idx]) != &pred) {
       ++idx;
     }
     if (trigger_kind_ == TriggerKind::kDeltaInsert) {
-      return idx < trigger_idx_ ? JoinElement::TriggerRow::kExclude
-                                : JoinElement::TriggerRow::kNone;
+      return idx < trigger_idx_ ? BodyOp::TriggerRow::kExclude : BodyOp::TriggerRow::kNone;
     }
-    return idx < trigger_idx_ ? JoinElement::TriggerRow::kNone : JoinElement::TriggerRow::kInclude;
+    return idx < trigger_idx_ ? BodyOp::TriggerRow::kNone : BodyOp::TriggerRow::kInclude;
   }
 
   // Support counting: with per-head-row derivation counts a retracted

@@ -3,11 +3,12 @@
 //
 // Per rule, the planner emits one or more *variants*: a RuleDriver fed by
 // an event source (periodic timer, stream demux port, or a table's delta
-// stream), a sequence of equijoin / anti-join / filter / extend elements
-// over the remaining body terms, a projection constructing the head tuple,
-// optional per-event aggregation (AggWrap), and finally either a table
-// delete, or the node's output router which sends remote tuples over the
-// network and loops local ones back into the input queue.
+// stream), one RuleBody element that runs the remaining body terms
+// (equijoins, anti-joins, filters, assignments) and the head projection
+// over a single binding frame, optional per-event aggregation (AggWrap),
+// and finally either a table delete, or the node's output router which
+// sends remote tuples over the network and loops local ones back into the
+// input queue.
 //
 // Rules are compiled semi-naively. A rule whose body is all materialized
 // predicates is rewritten into per-delta variants: one insert-triggered

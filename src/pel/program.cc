@@ -91,6 +91,16 @@ uint32_t PelProgram::AddConst(const Value& v) {
 // is always assigned the register equal to its stack depth, so the final
 // result lands in register 0 and register pressure equals the expression's
 // operand depth (tiny — rule expressions are shallow).
+bool PelProgram::Volatile() const {
+  for (const PelInstr& ins : code_) {
+    if (ins.op == PelOp::kRand || ins.op == PelOp::kRandInt || ins.op == PelOp::kCoinFlip ||
+        ins.op == PelOp::kNow) {
+      return true;
+    }
+  }
+  return false;
+}
+
 void PelProgram::Lower() const {
   reg_code_.clear();
   num_regs_ = 0;

@@ -107,6 +107,16 @@ class PelProgram {
   const std::vector<PelInstr>& code() const { return code_; }
   const std::vector<Value>& consts() const { return consts_; }
   bool empty() const { return code_.empty(); }
+  // True when the program reads randomness or the clock (kRand, kRandInt,
+  // kCoinFlip, kNow): two evaluations can differ, and each one can advance
+  // the node's Rng.
+  bool Volatile() const;
+  // The field index when the whole program is one field read (a bare
+  // variable), else -1. Callers copy that field instead of running the VM.
+  int LoneField() const {
+    return code_.size() == 1 && code_[0].op == PelOp::kPushField ? static_cast<int>(code_[0].arg)
+                                                                 : -1;
+  }
 
   // Register form. Lowering runs once (the planner calls Lower() at plan
   // time; hand-built programs lower lazily on first access) and is

@@ -34,12 +34,17 @@ class PelVm {
   // fields) and returns its result. Aborts on malformed programs (planner
   // bug, not user input).
   Value Eval(const PelProgram& prog, const Tuple* input);
+  // Evaluates `prog` against the field span [fields, fields + n): a rule
+  // body's binding frame rather than a materialized tuple.
+  Value Eval(const PelProgram& prog, const Value* fields, size_t n);
 
   // Evaluates a boolean-valued program; non-bool results coerce via AsBool.
   bool EvalBool(const PelProgram& prog, const Tuple* input);
+  bool EvalBool(const PelProgram& prog, const Value* fields, size_t n) {
+    return Eval(prog, fields, n).AsBool();
+  }
 
  private:
-  Value EvalRegs(const PelProgram& prog, const Tuple* input);
 
   PelEnv env_;
   std::vector<Value> regs_;  // register file, reused across calls

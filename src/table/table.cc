@@ -344,21 +344,27 @@ bool Table::HasIndex(const std::vector<size_t>& cols) const {
 
 std::vector<TuplePtr> Table::LookupByCols(const std::vector<size_t>& cols,
                                           const std::vector<Value>& vals) {
-  PurgeExpired();
   std::vector<TuplePtr> out;
+  LookupByCols(cols, vals, &out);
+  return out;
+}
+
+void Table::LookupByCols(const std::vector<size_t>& cols, const std::vector<Value>& vals,
+                         std::vector<TuplePtr>* out) {
+  PurgeExpired();
   for (const SecondaryIndex& idx : secondary_) {
     if (idx.cols != cols) {
       continue;
     }
     auto bucket = idx.map.find(vals);
     if (bucket == idx.map.end()) {
-      return out;
+      return;
     }
-    out.reserve(bucket->second.size());
+    out->reserve(out->size() + bucket->second.size());
     for (RowList::iterator row : bucket->second) {
-      out.push_back(row->tuple);
+      out->push_back(row->tuple);
     }
-    return out;
+    return;
   }
   // No index: scan, and materialize an index for column sets probed often
   // (repeated scans are the signature of a join the planner could not
@@ -371,7 +377,8 @@ std::vector<TuplePtr> Table::LookupByCols(const std::vector<size_t>& cols,
   }
   if (++stat->scans >= kAutoIndexScans) {
     AddIndex(cols);
-    return LookupByCols(cols, vals);
+    LookupByCols(cols, vals, out);
+    return;
   }
   for (const Row& row : rows_) {
     bool match = true;
@@ -382,10 +389,9 @@ std::vector<TuplePtr> Table::LookupByCols(const std::vector<size_t>& cols,
       }
     }
     if (match) {
-      out.push_back(row.tuple);
+      out->push_back(row.tuple);
     }
   }
-  return out;
 }
 
 std::vector<TuplePtr> Table::Scan() {

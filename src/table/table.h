@@ -118,6 +118,10 @@ class Table {
   // Purges expired rows first.
   std::vector<TuplePtr> LookupByCols(const std::vector<size_t>& cols,
                                      const std::vector<Value>& vals);
+  // The same, appended to `*out`, so a caller probing in a loop reuses one
+  // buffer.
+  void LookupByCols(const std::vector<size_t>& cols, const std::vector<Value>& vals,
+                    std::vector<TuplePtr>* out);
 
   // All live rows, oldest first.
   std::vector<TuplePtr> Scan();

@@ -174,12 +174,44 @@ TEST_F(ElementsTest, PeriodicSourceStopCancels) {
   EXPECT_EQ(out.size(), seen);
 }
 
-TEST_F(ElementsTest, FilterDropsFalse) {
+// Rule bodies: each case is one body step between the event and a head
+// that projects the first `n` frame slots.
+std::vector<PelProgram> Slots(size_t n) {
+  std::vector<PelProgram> head(n);
+  for (size_t i = 0; i < n; ++i) {
+    head[i].Emit(PelOp::kPushField, static_cast<uint32_t>(i));
+  }
+  return head;
+}
+
+BodyOp Filter(PelProgram prog) {
+  BodyOp op;
+  op.kind = BodyOp::Kind::kFilter;
+  op.expr = std::move(prog);
+  return op;
+}
+
+BodyOp Probe(BodyOp::Kind kind, Table* table, size_t table_col, uint32_t frame_slot,
+             size_t slot = 0) {
+  BodyOp op;
+  op.kind = kind;
+  op.table = table;
+  op.key_cols = {table_col};
+  op.keys.resize(1);
+  op.keys[0].Emit(PelOp::kPushField, frame_slot);
+  op.slot = slot;
+  op.arity = table->spec().arity;
+  return op;
+}
+
+TEST_F(ElementsTest, BodyFilterDropsFalse) {
   PelProgram prog;  // field0 > 5
   prog.Emit(PelOp::kPushField, 0);
   prog.Emit(PelOp::kPushConst, prog.AddConst(Value::Int(5)));
   prog.Emit(PelOp::kGt);
-  auto* f = graph_.Add<FilterElement>("f", Env(), std::move(prog));
+  std::vector<BodyOp> ops;
+  ops.push_back(Filter(std::move(prog)));
+  auto* f = graph_.Add<RuleBody>("body:f", Env(), std::move(ops), 1, 1, "t", Slots(1));
   std::vector<TuplePtr> out;
   graph_.Connect(f, 0, Sink(&out), 0);
   f->Push(0, T("t", {Value::Int(3)}), nullptr);
@@ -188,12 +220,16 @@ TEST_F(ElementsTest, FilterDropsFalse) {
   EXPECT_EQ(out[0]->field(0).AsInt(), 7);
 }
 
-TEST_F(ElementsTest, ExtendAppendsComputedField) {
-  PelProgram prog;  // field0 + 1
-  prog.Emit(PelOp::kPushField, 0);
-  prog.Emit(PelOp::kPushConst, prog.AddConst(Value::Int(1)));
-  prog.Emit(PelOp::kAdd);
-  auto* e = graph_.Add<ExtendElement>("e", Env(), std::move(prog));
+TEST_F(ElementsTest, BodyAssignBindsComputedSlot) {
+  BodyOp op;  // slot 1 := field0 + 1
+  op.kind = BodyOp::Kind::kAssign;
+  op.slot = 1;
+  op.expr.Emit(PelOp::kPushField, 0);
+  op.expr.Emit(PelOp::kPushConst, op.expr.AddConst(Value::Int(1)));
+  op.expr.Emit(PelOp::kAdd);
+  std::vector<BodyOp> ops;
+  ops.push_back(std::move(op));
+  auto* e = graph_.Add<RuleBody>("body:e", Env(), std::move(ops), 1, 2, "t", Slots(2));
   std::vector<TuplePtr> out;
   graph_.Connect(e, 0, Sink(&out), 0);
   e->Push(0, T("t", {Value::Int(41)}), nullptr);
@@ -202,11 +238,12 @@ TEST_F(ElementsTest, ExtendAppendsComputedField) {
   EXPECT_EQ(out[0]->field(1).AsInt(), 42);
 }
 
-TEST_F(ElementsTest, ProjectBuildsHeadTuple) {
+TEST_F(ElementsTest, BodyProjectsHeadTuple) {
   std::vector<PelProgram> programs(2);
   programs[0].Emit(PelOp::kPushField, 1);
   programs[1].Emit(PelOp::kPushConst, programs[1].AddConst(Value::Str("k")));
-  auto* p = graph_.Add<ProjectElement>("p", Env(), "head", std::move(programs));
+  auto* p = graph_.Add<RuleBody>("body:p", Env(), std::vector<BodyOp>{}, 2, 2, "head",
+                                 std::move(programs));
   std::vector<TuplePtr> out;
   graph_.Connect(p, 0, Sink(&out), 0);
   p->Push(0, T("t", {Value::Int(1), Value::Int(2)}), nullptr);
@@ -216,19 +253,19 @@ TEST_F(ElementsTest, ProjectBuildsHeadTuple) {
   EXPECT_EQ(out[0]->field(1).AsStr(), "k");
 }
 
-TEST_F(ElementsTest, JoinEmitsConcatenatedMatches) {
+TEST_F(ElementsTest, BodyJoinBindsEachMatch) {
   TableSpec spec;
   spec.name = "nbr";
   spec.key_positions = {0, 1};
+  spec.arity = 2;
   Table table(spec, &loop_);
   table.Insert(T("nbr", {Value::Int(1), Value::Str("a")}));
   table.Insert(T("nbr", {Value::Int(1), Value::Str("b")}));
   table.Insert(T("nbr", {Value::Int(2), Value::Str("c")}));
-  PelProgram key;  // event field 0 == table col 0
-  key.Emit(PelOp::kPushField, 0);
-  std::vector<JoinKey> keys;
-  keys.push_back(JoinKey{0, std::move(key)});
-  auto* join = graph_.Add<JoinElement>("join", Env(), &table, std::move(keys), "j");
+  // Event field 0 == table col 0; the row binds at slots 2..3.
+  std::vector<BodyOp> ops;
+  ops.push_back(Probe(BodyOp::Kind::kJoin, &table, 0, 0, 2));
+  auto* join = graph_.Add<RuleBody>("body:j", Env(), std::move(ops), 2, 4, "j", Slots(4));
   std::vector<TuplePtr> out;
   graph_.Connect(join, 0, Sink(&out), 0);
   join->Push(0, T("ev", {Value::Int(1), Value::Int(99)}), nullptr);
@@ -240,21 +277,20 @@ TEST_F(ElementsTest, JoinEmitsConcatenatedMatches) {
   std::vector<std::string> matched = {out[0]->field(3).AsStr(), out[1]->field(3).AsStr()};
   std::sort(matched.begin(), matched.end());
   EXPECT_EQ(matched, (std::vector<std::string>{"a", "b"}));
-  // The join installed a secondary index for its key columns.
+  EXPECT_EQ(join->rows(), 2u);
+  // The body declared a secondary index for its key columns.
   EXPECT_TRUE(table.HasIndex({0}));
 }
 
-TEST_F(ElementsTest, AntiJoinPassesOnlyWhenNoMatch) {
+TEST_F(ElementsTest, BodyAntiJoinPassesOnlyWhenNoMatch) {
   TableSpec spec;
   spec.name = "t";
   spec.key_positions = {0};
   Table table(spec, &loop_);
   table.Insert(T("t", {Value::Int(1)}));
-  PelProgram key;
-  key.Emit(PelOp::kPushField, 0);
-  std::vector<JoinKey> keys;
-  keys.push_back(JoinKey{0, std::move(key)});
-  auto* aj = graph_.Add<AntiJoinElement>("aj", Env(), &table, std::move(keys));
+  std::vector<BodyOp> ops;
+  ops.push_back(Probe(BodyOp::Kind::kAntiJoin, &table, 0, 0));
+  auto* aj = graph_.Add<RuleBody>("body:aj", Env(), std::move(ops), 1, 1, "ev", Slots(1));
   std::vector<TuplePtr> out;
   graph_.Connect(aj, 0, Sink(&out), 0);
   aj->Push(0, T("ev", {Value::Int(1)}), nullptr);  // match exists: blocked

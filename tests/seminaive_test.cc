@@ -270,7 +270,7 @@ TEST_F(SemiNaiveTest, ReentrantDeltasAreQueuedNotDropped) {
 
 // --- Backpressure plumbing ------------------------------------------------
 
-// Captures the congestion callback a join hands downstream.
+// Captures the congestion callback a rule body's join hands downstream.
 class CongestedSink : public Element {
  public:
   CongestedSink() : Element("congested_sink") {}
@@ -288,13 +288,24 @@ TEST_F(SemiNaiveTest, JoinForwardsBackpressureCallback) {
   TableSpec spec;
   spec.name = "t";
   spec.key_positions = {1};
+  spec.arity = 2;
   Table table(std::move(spec), &loop_);
   table.Insert(Tuple::Make("t", {Value::Int(1), Value::Int(10)}));
   table.Insert(Tuple::Make("t", {Value::Int(1), Value::Int(20)}));
 
-  PelProgram key;  // join on input field 0 == table column 0
-  key.Emit(PelOp::kPushField, 0);
-  JoinElement join("join", PelEnv{}, &table, {JoinKey{0, std::move(key)}}, "out");
+  BodyOp op;  // join on input field 0 == table column 0
+  op.kind = BodyOp::Kind::kJoin;
+  op.table = &table;
+  op.key_cols = {0};
+  op.keys.resize(1);
+  op.keys[0].Emit(PelOp::kPushField, 0);
+  op.slot = 1;
+  op.arity = 2;
+  std::vector<BodyOp> ops;
+  ops.push_back(std::move(op));
+  std::vector<PelProgram> head(1);
+  head[0].Emit(PelOp::kPushField, 2);
+  RuleBody join("body:join", PelEnv{}, std::move(ops), 1, 3, "out", std::move(head));
   CongestedSink sink;
   join.BindOutput(0, &sink, 0);
 
